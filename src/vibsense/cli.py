@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -214,16 +215,7 @@ def cmd_train_knn(args) -> int:
         ),
         out / "knn_confusion.svg",
     )
-    ks = sorted(curve)
-    svgplots.save_svg(
-        svgplots.line_chart(
-            [("CV accuracy", ks, [curve[k] for k in ks])],
-            title="k sweep",
-            x_label="k",
-            y_label="accuracy",
-        ),
-        out / "knn_k_curve.svg",
-    )
+    _save_k_curve(curve, out / "knn_k_curve.svg")
     print(
         f"train-knn: features={names} k={best_k} "
         f"test_accuracy={metrics.accuracy:.4f}"
@@ -237,9 +229,15 @@ def cmd_sweep_k(args) -> int:
     ds = _load_dataset(_in_path(args, "features", "features.csv"))
     mask, _ = _selected_columns(out, ds)
     best_k, curve = baselines.sweep_k(ds.select_columns(mask), seed=seed)
-    ks = sorted(curve)
-    lines = ["k,cv_accuracy"] + [f"{k},{curve[k]!r}" for k in ks]
+    lines = ["k,cv_accuracy"] + [f"{k},{curve[k]!r}" for k in sorted(curve)]
     (out / "k_curve.csv").write_text("\n".join(lines) + "\n")
+    _save_k_curve(curve, out / "k_curve.svg")
+    print(f"sweep-k: best_k={best_k}")
+    return 0
+
+
+def _save_k_curve(curve: dict[int, float], path) -> None:
+    ks = sorted(curve)
     svgplots.save_svg(
         svgplots.line_chart(
             [("CV accuracy", ks, [curve[k] for k in ks])],
@@ -247,10 +245,8 @@ def cmd_sweep_k(args) -> int:
             x_label="k",
             y_label="accuracy",
         ),
-        out / "k_curve.svg",
+        path,
     )
-    print(f"sweep-k: best_k={best_k}")
-    return 0
 
 
 def _write_metrics(path, metrics: baselines.Metrics, classes) -> None:
@@ -266,12 +262,10 @@ def _write_metrics(path, metrics: baselines.Metrics, classes) -> None:
 
 
 def _write_history_csv(path, history: cnn.TrainingHistory) -> None:
-    lines = ["epoch,lr,train_loss,train_acc,val_acc"]
-    for i in range(len(history.lr)):
-        lines.append(
-            f"{i + 1},{history.lr[i]!r},{history.train_loss[i]!r},"
-            f"{history.train_acc[i]!r},{history.val_acc[i]!r}"
-        )
+    columns = dataclasses.asdict(history)
+    lines = [",".join(["epoch", *columns])]
+    for epoch, row in enumerate(zip(*columns.values()), start=1):
+        lines.append(",".join([str(epoch), *map(repr, row)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -335,12 +329,10 @@ def cmd_grid_search(args) -> int:
     result = cnn.grid_search(
         ds, grids=_grids_for(args), folds=args.folds, seed=seed, epochs=args.epochs
     )
-    lines = ["rank,batch_size,kernel_length,base_filters,activation,mean_cv_accuracy"]
+    lines = [",".join(["rank", *cnn.DEFAULT_GRIDS, "mean_cv_accuracy"])]
     for rank, (hp, score) in enumerate(result.ranked, start=1):
-        lines.append(
-            f"{rank},{hp.batch_size},{hp.kernel_length},{hp.base_filters},"
-            f"{hp.activation},{score!r}"
-        )
+        grid_values = [str(getattr(hp, key)) for key in cnn.DEFAULT_GRIDS]
+        lines.append(",".join([str(rank), *grid_values, repr(score)]))
     (out / "grid_ranking.csv").write_text("\n".join(lines) + "\n")
     for key, pairs in result.marginals.items():
         lines = [f"{key},mean_cv_accuracy"]
@@ -427,18 +419,14 @@ def cmd_emulate_node(args) -> int:
 
 def cmd_report(args) -> int:
     store = _in_path(args, "store", "telemetry.jsonl")
-    records = telemetry.scan_store(store)
-    per_node: dict[str, int] = {}
-    per_label: dict[str, int] = {}
-    last_seen: dict[str, int] = {}
-    for record in records:
-        per_node[record.node_id] = per_node.get(record.node_id, 0) + 1
-        label = record.label.value if record.label else "-"
-        per_label[label] = per_label.get(label, 0) + 1
-        last_seen[record.node_id] = max(last_seen.get(record.node_id, 0), record.timestamp_ms)
-    print(f"report: {len(records)} records, {len(per_node)} nodes")
-    for node_id in sorted(per_node):
-        print(f"  node {node_id}: count={per_node[node_id]} last_seen_ms={last_seen[node_id]}")
+    index = telemetry.StoreIndex(telemetry.scan_store(store))
+    per_label = Counter(r.label.value if r.label else "-" for r in index.records)
+    print(f"report: {len(index.records)} records, {len(index.counts)} nodes")
+    for status in index.node_statuses():
+        print(
+            f"  node {status.node_id}: count={status.record_count} "
+            f"last_seen_ms={status.last_seen_ms}"
+        )
     for label in sorted(per_label):
         print(f"  label {label}: count={per_label[label]}")
     return 0

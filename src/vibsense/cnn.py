@@ -13,7 +13,7 @@ fixed (seed, hyperparams, dataset).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
 
@@ -66,7 +66,6 @@ class CnnHyperparams:
     patience: int = 10
     epochs: int = 1000
     depth: int = 5
-    stride: int = 1
     n_classes: int = 5
 
     def __post_init__(self):
@@ -80,8 +79,6 @@ class CnnHyperparams:
             raise ValueError(f"activation must be one of {ACTIVATION_GRID}")
         if self.elu_alpha <= 0:
             raise ValueError("elu_alpha must be > 0")
-        if self.stride != 1:
-            raise ValueError("only stride 1 is supported")
 
     def channel_counts(self) -> list[int]:
         return [2**r * self.base_filters for r in range(self.depth)]
@@ -426,21 +423,11 @@ DEFAULT_GRIDS = {
 
 
 def grid_combinations(grids: dict | None = None) -> list[CnnHyperparams]:
-    """All hyperparameter combos in lexicographic grid order."""
+    """All hyperparameter combos in lexicographic grid order (ValueError off-grid)."""
     g = {**DEFAULT_GRIDS, **(grids or {})}
-    for key, allowed in (
-        ("batch_size", BATCH_SIZES),
-        ("kernel_length", KERNEL_LENGTHS),
-        ("base_filters", BASE_FILTERS),
-        ("activation", ACTIVATION_GRID),
-    ):
-        if not set(g[key]) <= set(allowed):
-            raise ValueError(f"{key} grid must be a subset of {allowed}")
     return [
-        CnnHyperparams(batch_size=b, kernel_length=k, base_filters=q, activation=a)
-        for b, k, q, a in product(
-            g["batch_size"], g["kernel_length"], g["base_filters"], g["activation"]
-        )
+        CnnHyperparams(**dict(zip(DEFAULT_GRIDS, values)))
+        for values in product(*(g[key] for key in DEFAULT_GRIDS))
     ]
 
 
@@ -448,7 +435,7 @@ def grid_combinations(grids: dict | None = None) -> list[CnnHyperparams]:
 class GridSearchResult:
     ranked: list[tuple[CnnHyperparams, float]]  # descending mean CV accuracy
     winner: CnnHyperparams
-    marginals: dict[str, list[tuple[object, float]]]
+    marginals: dict[str, list[tuple[object, float]]]  # per key: (value, mean score) in grid order
 
 
 def grid_search(
@@ -466,7 +453,8 @@ def grid_search(
     """
     from .baselines import _fold_assignments
 
-    combos = grid_combinations(grids)
+    g = {**DEFAULT_GRIDS, **(grids or {})}
+    combos = grid_combinations(g)
     assignments = _fold_assignments(ds, folds, seed)
     scores = []
     for combo_idx, hp in enumerate(combos):
@@ -481,12 +469,11 @@ def grid_search(
 
     best_idx = int(np.argmax(scores))  # argmax keeps the first max
     order = sorted(range(len(combos)), key=lambda i: (-scores[i], i))
-    marginals: dict[str, list[tuple[object, float]]] = {
-        "batch_size": [], "kernel_length": [], "base_filters": [], "activation": [],
-    }
-    for hp, score in zip(combos, scores):
-        for key in marginals:
-            marginals[key].append((getattr(hp, key), score))
+    marginals: dict[str, list[tuple[object, float]]] = {key: [] for key in DEFAULT_GRIDS}
+    for key, pairs in marginals.items():
+        for value in g[key]:
+            with_value = [s for hp, s in zip(combos, scores) if getattr(hp, key) == value]
+            pairs.append((value, float(np.mean(with_value))))
     return GridSearchResult(
         ranked=[(combos[i], scores[i]) for i in order],
         winner=combos[best_idx],
@@ -494,21 +481,14 @@ def grid_search(
     )
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v2 dropped the stride hyperparameter; v1 files still load
 
 
 def save_checkpoint(model: CnnModel, path) -> None:
     """JSON checkpoint; reload reproduces predictions bit-exactly."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "hyperparams": {
-            k: getattr(model.hp, k)
-            for k in (
-                "batch_size", "kernel_length", "base_filters", "activation",
-                "elu_alpha", "lr0", "decay_factor", "patience", "epochs",
-                "depth", "stride", "n_classes",
-            )
-        },
+        "hyperparams": asdict(model.hp),
         "class_names": model.class_names,
         "input_mean": model.input_mean.tolist(),
         "input_std": model.input_std.tolist(),
@@ -527,21 +507,20 @@ def save_checkpoint(model: CnnModel, path) -> None:
             "weights": model.dense.weights.ravel().tolist(),
             "bias": model.dense.bias.tolist(),
         },
-        "history": {
-            "lr": model.history.lr,
-            "train_loss": model.history.train_loss,
-            "train_acc": model.history.train_acc,
-            "val_acc": model.history.val_acc,
-        },
+        "history": asdict(model.history),
     }
     Path(path).write_text(json.dumps(payload))
 
 
 def load_checkpoint(path) -> CnnModel:
     payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')}")
-    hp = CnnHyperparams(**payload["hyperparams"])
+    version = payload.get("format_version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {version}")
+    hyperparams = payload["hyperparams"]
+    if version == 1 and hyperparams.pop("stride", 1) != 1:
+        raise ValueError("only stride 1 is supported")
+    hp = CnnHyperparams(**hyperparams)
     layers = [
         ConvLayer(
             weights=np.array(spec["weights"]).reshape(spec["shape"]),

@@ -16,28 +16,12 @@ Conventions (fixed here, used everywhere else):
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InsufficientDataError
 from .signalsim import RawWindow
-
-# Canonical CSV column order for feature tables (label column last).
-FEATURE_COLUMNS = [
-    "mean",
-    "mode",
-    "median",
-    "std_dev",
-    "max",
-    "min",
-    "rms",
-    "num_peaks",
-    "avg_peak_value",
-    "skewness",
-    "kurtosis",
-    "crest_factor",
-]
 
 CSV_HEADERS = [
     "Mean",
@@ -59,11 +43,11 @@ LABEL_HEADER = "Type of structure"
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """The 12 time-domain statistics of one window."""
+    """The 12 time-domain statistics of one window, in dataset column order."""
 
     mean: float
-    median: float
     mode: float
+    median: float
     std_dev: float
     max: float
     min: float
@@ -83,6 +67,10 @@ class FeatureVector:
         kwargs = dict(zip(FEATURE_COLUMNS, map(float, values)))
         kwargs["num_peaks"] = int(round(kwargs["num_peaks"]))
         return cls(**kwargs)
+
+
+# Canonical CSV column order for feature tables (label column last).
+FEATURE_COLUMNS = [f.name for f in fields(FeatureVector)]
 
 
 @dataclass(frozen=True)
@@ -143,8 +131,8 @@ def extract_features(window: RawWindow) -> FeatureVector:
 
     return FeatureVector(
         mean=mean,
-        median=float(np.median(x)),
         mode=_integer_mode(window.samples),
+        median=float(np.median(x)),
         std_dev=std,
         max=x_max,
         min=x_min,

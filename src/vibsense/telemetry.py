@@ -20,31 +20,19 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 from .errors import DeliveryError, SchemaError, StoreError
-from .features import FeatureVector, extract_features
+from .features import FEATURE_COLUMNS, FeatureVector, extract_features
 from .signalsim import ClassProfile, FrontEndConfig, StructureClass, synth_window
 
 # wire order follows the dataset column order; "creast_factor" is the
 # (sic) spelling used throughout the record schema
-WIRE_FEATURE_KEYS = (
-    "mean",
-    "mode",
-    "median",
-    "std_dev",
-    "max",
-    "min",
-    "rms",
-    "num_peaks",
-    "avg_peak_value",
-    "skewness",
-    "kurtosis",
-    "creast_factor",
-)
-
-_TOP_LEVEL_KEYS = ("node_id", "timestamp_ms", "seq", "features", "label", "site")
+_WIRE_RENAMES = {"crest_factor": "creast_factor"}
+WIRE_FEATURE_KEYS = tuple(_WIRE_RENAMES.get(name, name) for name in FEATURE_COLUMNS)
+_WIRE_FIELDS = tuple(zip(FEATURE_COLUMNS, WIRE_FEATURE_KEYS))  # (attribute, wire key)
 
 
 @dataclass(frozen=True)
@@ -70,6 +58,9 @@ class TelemetryRecord:
                 raise SchemaError(f"features.{key}", "must be finite")
 
 
+_TOP_LEVEL_KEYS = tuple(f.name for f in fields(TelemetryRecord))
+
+
 @dataclass(frozen=True)
 class NodeStatus:
     node_id: str
@@ -87,21 +78,8 @@ def _is_number(value) -> bool:
 
 def record_wire_dict(record: TelemetryRecord) -> dict:
     """Plain dict in canonical key order (JSON-ready)."""
-    fv = record.features
-    features = {
-        "mean": fv.mean,
-        "mode": fv.mode,
-        "median": fv.median,
-        "std_dev": fv.std_dev,
-        "max": fv.max,
-        "min": fv.min,
-        "rms": fv.rms,
-        "num_peaks": fv.num_peaks,
-        "avg_peak_value": fv.avg_peak_value,
-        "skewness": fv.skewness,
-        "kurtosis": fv.kurtosis,
-        "creast_factor": fv.crest_factor,
-    }
+    # getattr, not as_array: num_peaks stays an int on the wire
+    features = {key: getattr(record.features, name) for name, key in _WIRE_FIELDS}
     return {
         "node_id": record.node_id,
         "timestamp_ms": record.timestamp_ms,
@@ -172,120 +150,122 @@ def decode_record(raw: bytes | str) -> TelemetryRecord:
     if site is not None and not isinstance(site, str):
         raise SchemaError("site", "must be a string or null")
 
-    fv = FeatureVector(
-        mean=features["mean"],
-        median=features["median"],
-        mode=features["mode"],
-        std_dev=features["std_dev"],
-        max=features["max"],
-        min=features["min"],
-        rms=features["rms"],
-        num_peaks=features["num_peaks"],
-        avg_peak_value=features["avg_peak_value"],
-        skewness=features["skewness"],
-        kurtosis=features["kurtosis"],
-        crest_factor=features["creast_factor"],
-    )
     return TelemetryRecord(
         node_id=obj["node_id"],
         timestamp_ms=obj["timestamp_ms"],
         seq=obj["seq"],
-        features=fv,
+        features=FeatureVector(**{name: features[key] for name, key in _WIRE_FIELDS}),
         label=label,
         site=site,
     )
 
 
+def _append_durable(fh, record: TelemetryRecord) -> None:
+    """Write one record line to ``fh``, flush and fsync; StoreError on failure."""
+    try:
+        fh.write(encode_record(record) + b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    except OSError as exc:
+        raise StoreError(f"append to {fh.name} failed: {exc}") from exc
+
+
 def append_store(store_path, record: TelemetryRecord) -> None:
     """Durably append one record (write, flush, fsync)."""
-    line = encode_record(record) + b"\n"
     try:
         with open(store_path, "ab") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError as exc:
+            _append_durable(fh, record)
+    except OSError as exc:  # open or close; _append_durable raises StoreError itself
         raise StoreError(f"append to {store_path} failed: {exc}") from exc
+
+
+def _scan(store_path) -> tuple[list[TelemetryRecord], int]:
+    """Records of the newline-terminated lines, and the byte length they fill."""
+    data = Path(store_path).read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        warnings.warn(
+            f"skipping {len(data) - end} torn trailing bytes in {store_path}", stacklevel=3
+        )
+    records = []
+    for lineno, line in enumerate(data[:end].split(b"\n")[:-1], start=1):
+        try:
+            records.append(decode_record(line))
+        except SchemaError as exc:
+            raise StoreError(f"{store_path} line {lineno}: {exc}") from exc
+    return records, end
 
 
 def scan_store(store_path) -> list[TelemetryRecord]:
     """All records in append order.
 
-    A torn trailing line (crash artifact: no newline, or truncated JSON at
-    end of file) is skipped with a warning. A malformed line anywhere else
-    means real corruption and raises :class:`StoreError`.
+    Bytes after the last newline are a torn write (a crash artifact: every
+    append writes its line and newline at once) and are skipped with a
+    warning. A malformed line anywhere else means real corruption and raises
+    :class:`StoreError`.
     """
-    with open(store_path, "rb") as fh:
-        data = fh.read()
-    records = []
-    lines = data.split(b"\n")
-    tail_torn = bool(lines and lines[-1])  # no trailing newline
-    if not tail_torn:
-        lines = lines[:-1]  # drop the empty piece after the final newline
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            records.append(decode_record(line))
-        except SchemaError as exc:
-            if tail_torn and lineno == len(lines):
-                warnings.warn(
-                    f"skipping torn trailing line {lineno} in {store_path}: {exc}",
-                    stacklevel=2,
-                )
-                break
-            raise StoreError(f"{store_path} line {lineno}: {exc}") from exc
-    return records
+    return _scan(store_path)[0]
+
+
+class StoreIndex:
+    """Records in append order plus per-node max seq, count and last-seen time."""
+
+    def __init__(self, records=()):
+        self.records: list[TelemetryRecord] = []
+        self.max_seq: dict[str, int] = {}
+        self.counts: dict[str, int] = {}
+        self.last_seen: dict[str, int] = {}
+        for record in records:
+            self.add(record)
+
+    def add(self, record: TelemetryRecord) -> None:
+        node = record.node_id
+        self.records.append(record)
+        self.max_seq[node] = record.seq
+        self.counts[node] = self.counts.get(node, 0) + 1
+        self.last_seen[node] = max(self.last_seen.get(node, 0), record.timestamp_ms)
+
+    def node_statuses(self) -> list[NodeStatus]:
+        return [NodeStatus(n, self.last_seen[n], self.counts[n]) for n in sorted(self.counts)]
 
 
 class _ServiceState:
-    """Store handle plus in-memory index, shared by handler threads."""
+    """Store handle plus in-memory index, shared by handler threads.
+
+    Opening the store cuts a torn tail off: those bytes were never
+    acknowledged, and left in place the next append would extend the torn
+    line, so the store would no longer open.
+    """
 
     def __init__(self, store_path):
         self.store_path = store_path
         self.lock = threading.Lock()
-        self.records: list[TelemetryRecord] = []
-        self.max_seq: dict[str, int] = {}
-        self.last_seen: dict[str, int] = {}
-        self.counts: dict[str, int] = {}
         self.fail_writes = False  # fault-injection hook for tests/ops drills
-        if os.path.exists(store_path):
-            for record in scan_store(store_path):
-                self._index(record)
-        self._fh = open(store_path, "ab")
-
-    def _index(self, record: TelemetryRecord):
-        self.records.append(record)
-        self.max_seq[record.node_id] = record.seq
-        self.counts[record.node_id] = self.counts.get(record.node_id, 0) + 1
-        self.last_seen[record.node_id] = max(
-            self.last_seen.get(record.node_id, 0), record.timestamp_ms
-        )
+        records, end = _scan(store_path) if os.path.exists(store_path) else ([], 0)
+        self.index = StoreIndex(records)
+        self._fh = open(store_path, "ab")  # positioned at the end of the file
+        if self._fh.tell() > end:
+            self._fh.truncate(end)
+            os.fsync(self._fh.fileno())
 
     def ingest(self, record: TelemetryRecord) -> str:
         """'stored' | 'duplicate'; raises StoreError on write failure."""
         with self.lock:
-            if record.seq <= self.max_seq.get(record.node_id, -1):
+            if record.seq <= self.index.max_seq.get(record.node_id, -1):
                 return "duplicate"
             if self.fail_writes:
                 raise StoreError("storage failure injected")
-            try:
-                self._fh.write(encode_record(record) + b"\n")
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except OSError as exc:
-                raise StoreError(f"append failed: {exc}") from exc
-            self._index(record)
+            _append_durable(self._fh, record)
+            self.index.add(record)
             return "stored"
 
     def node_statuses(self) -> list[NodeStatus]:
         with self.lock:
-            return [
-                NodeStatus(node_id, self.last_seen[node_id], self.counts[node_id])
-                for node_id in sorted(self.counts)
-            ]
+            return self.index.node_statuses()
 
     def query(self, node_id=None, since_ms=None, limit=None) -> list[TelemetryRecord]:
         with self.lock:
-            selected = list(self.records)
+            selected = list(self.index.records)
         if node_id is not None:
             selected = [r for r in selected if r.node_id == node_id]
         if since_ms is not None:
@@ -314,11 +294,17 @@ class _Handler(BaseHTTPRequestHandler):
         if urllib.parse.urlsplit(self.path).path != "/ingest":
             self._send(404, {"error": "unknown path"})
             return
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._send(400, {"error": "Content-Length required", "field": "body"})
+        try:
+            length = int(self.headers["Content-Length"])
+        except (TypeError, ValueError):  # missing or not a number
+            length = -1
+        if length < 0:
+            self.close_connection = True  # the body's end is unknown
+            self._send(
+                400, {"error": "Content-Length must be a non-negative integer", "field": "body"}
+            )
             return
-        body = self.rfile.read(int(length))
+        body = self.rfile.read(length)
         try:
             record = decode_record(body)
         except SchemaError as exc:
@@ -336,7 +322,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "error": "duplicate or stale seq",
                     "node_id": record.node_id,
                     "seq": record.seq,
-                    "max_seq": self.server.state.max_seq[record.node_id],
+                    "max_seq": self.server.state.index.max_seq[record.node_id],
                 },
             )
             return
@@ -346,19 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
         split = urllib.parse.urlsplit(self.path)
         if split.path == "/nodes":
             statuses = self.server.state.node_statuses()
-            self._send(
-                200,
-                {
-                    "nodes": [
-                        {
-                            "node_id": s.node_id,
-                            "last_seen_ms": s.last_seen_ms,
-                            "record_count": s.record_count,
-                        }
-                        for s in statuses
-                    ]
-                },
-            )
+            self._send(200, {"nodes": [asdict(s) for s in statuses]})
             return
         if split.path == "/records":
             params = urllib.parse.parse_qs(split.query)
@@ -368,6 +342,9 @@ class _Handler(BaseHTTPRequestHandler):
                 limit = int(params["limit"][0]) if "limit" in params else None
             except ValueError:
                 self._send(400, {"error": "since_ms and limit must be integers"})
+                return
+            if limit is not None and limit < 0:
+                self._send(400, {"error": "limit must be >= 0"})
                 return
             records = self.server.state.query(node_id, since_ms, limit)
             self._send(200, {"records": [record_wire_dict(r) for r in records]})
@@ -417,8 +394,8 @@ class TelemetryServer:
         return self
 
     def stop(self):
-        self._httpd.shutdown()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for a serve loop to end
+            self._httpd.shutdown()
             self._thread.join()
         self._httpd.server_close()
         self.state.close()

@@ -105,7 +105,7 @@ def test_hyperparam_validation():
         CnnHyperparams(activation="gelu")
     with pytest.raises(ValueError):
         CnnHyperparams(elu_alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # stride-1 convolution is fixed; there is no stride field
         CnnHyperparams(stride=2)
 
 
@@ -459,6 +459,21 @@ def test_grid_search_finds_a_planted_optimum(monkeypatch):
     assert dict(result.marginals["base_filters"]) == {4: 0.125, 8: 0.25, 16: 0.5}
 
 
+def test_grid_search_marginals_are_means_over_combos(monkeypatch):
+    ds = _toy_dataset(n=20, seed=26)
+    score = lambda hp: hp.base_filters / 32.0 + (0.25 if hp.activation == "elu" else 0.0)  # noqa: E731
+    monkeypatch.setattr(cnn, "train", _fake_train_scoring(score))
+    grids = {"batch_size": [50], "kernel_length": [3], "base_filters": [4, 8], "activation": ["relu", "elu"]}
+    result = grid_search(ds, grids, folds=2, seed=0)
+    # combo scores: (4, relu) 0.125, (4, elu) 0.375, (8, relu) 0.25, (8, elu) 0.5
+    assert result.marginals == {
+        "batch_size": [(50, 0.3125)],
+        "kernel_length": [(3, 0.3125)],
+        "base_filters": [(4, 0.25), (8, 0.375)],
+        "activation": [("relu", 0.1875), ("elu", 0.4375)],
+    }
+
+
 def test_grid_search_tie_keeps_earliest_combo(monkeypatch):
     ds = _toy_dataset(n=20, seed=27)
     monkeypatch.setattr(cnn, "train", _fake_train_scoring(lambda hp: 0.7))
@@ -520,6 +535,38 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.class_names == model.class_names
     assert loaded.history.val_acc == model.history.val_acc
     assert np.array_equal(loaded.input_mean, model.input_mean)
+
+
+def _as_v1_checkpoint(path, stride):
+    """Rewrite a checkpoint in format 1, which stored ``stride`` after ``depth``."""
+    payload = json.loads(path.read_text())
+    payload["format_version"] = 1
+    hp = payload["hyperparams"]
+    n_classes = hp.pop("n_classes")
+    hp.update(stride=stride, n_classes=n_classes)
+    path.write_text(json.dumps(payload))
+
+
+def test_checkpoint_v1_with_stride_1_loads_bit_exactly(tmp_path):
+    ds = _toy_dataset(n=20, seed=33)
+    hp = CnnHyperparams(batch_size=50, kernel_length=3, base_filters=4, n_classes=2)
+    model = train(ds, hp, seed=2, val=ds, epochs=2)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    _as_v1_checkpoint(path, stride=1)
+    loaded = load_checkpoint(path)
+    rows = np.random.default_rng(34).normal(size=(16, 12))
+    assert np.array_equal(forward(model, rows), forward(loaded, rows))
+    assert loaded.hp == model.hp
+    assert loaded.history == model.history
+
+
+def test_checkpoint_v1_with_another_stride_is_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model(HP_SMALL, seed=35), path)
+    _as_v1_checkpoint(path, stride=2)
+    with pytest.raises(ValueError, match="stride"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):

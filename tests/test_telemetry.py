@@ -4,6 +4,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -76,9 +77,12 @@ def test_wire_dict_reference_row():
     assert d["features"]["mean"] == 20.16
     assert d["features"]["creast_factor"] == 4.23
     assert d["label"] == "building"
-    encoded = encode_record(record)
-    assert encoded.startswith(b'{"node_id":"node-a","timestamp_ms":1000,"seq":0,')
-    assert b": " not in encoded and b", " not in encoded  # compact separators
+    assert encode_record(record) == (
+        b'{"node_id":"node-a","timestamp_ms":1000,"seq":0,"features":{"mean":20.16,'
+        b'"mode":19.0,"median":21.0,"std_dev":10.38,"max":96.0,"min":0.0,"rms":22.68,'
+        b'"num_peaks":651,"avg_peak_value":26.59,"skewness":1.9,"kurtosis":10.03,'
+        b'"creast_factor":4.23},"label":"building","site":"yard"}'
+    )
 
 
 def test_encode_decode_round_trip_bulk():
@@ -218,6 +222,15 @@ def test_store_torn_trailing_line_is_skipped(tmp_path):
     assert got == records
 
 
+def test_store_line_without_newline_is_torn_even_when_it_decodes(tmp_path):
+    # every append writes line and newline at once, so a last line without
+    # its newline was never acknowledged; the server cuts it on open too
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(encode_record(_record(seq=0)) + b"\n" + encode_record(_record(seq=1)))
+    with pytest.warns(UserWarning, match="torn"):
+        assert scan_store(path) == [_record(seq=0)]
+
+
 def test_store_interior_corruption_raises(tmp_path):
     path = tmp_path / "store.jsonl"
     lines = [encode_record(_record(seq=i, seed=i)) for i in range(3)]
@@ -237,6 +250,29 @@ def test_store_bulk_scan_matches_line_count(tmp_path):
     records = scan_store(path)
     assert len(records) == 100_000
     assert path.read_bytes().count(b"\n") == 100_000
+
+
+def test_store_survives_a_torn_write_at_every_offset(tmp_path):
+    # a restart is a fresh server state over the same store; the HTTP loop
+    # plays no part in opening the store and takes 0.5 s to stop
+    records = [_record(seq=i, seed=i) for i in range(4)]
+    lines = [encode_record(r) + b"\n" for r in records]
+    path = tmp_path / "store.jsonl"
+    for cut in range(len(lines[2]) + 1):  # records 0 and 1 were acknowledged
+        path.write_bytes(lines[0] + lines[1] + lines[2][:cut])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            state = telemetry._ServiceState(path)
+        assert any("torn" in str(w.message) for w in seen) == (0 < cut < len(lines[2])), cut
+        # the node resends the record it saw no answer for, then goes on
+        landed = cut == len(lines[2])
+        assert state.ingest(records[2]) == ("duplicate" if landed else "stored"), cut
+        assert state.ingest(records[3]) == "stored", cut
+        state.close()
+        state = telemetry._ServiceState(path)  # the restart after the tear must come up
+        assert state.query() == records, cut
+        state.close()
+        assert path.read_bytes() == b"".join(lines), cut
 
 
 # ------------------------------------------------------------------- server
@@ -302,6 +338,37 @@ def test_server_unknown_paths_and_bad_params(tmp_path):
         assert _http("GET", srv.url + "/other")[0] == 404
         assert _http("GET", srv.url + "/records?since_ms=abc")[0] == 400
         assert _http("GET", srv.url + "/records?limit=xyz")[0] == 400
+        assert _http("GET", srv.url + "/records?limit=-1")[0] == 400
+
+
+def _raw_request(port, request: bytes) -> tuple[bytes, dict]:
+    """Send raw bytes, read until the server closes; (status line, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], json.loads(body)
+
+
+@pytest.mark.parametrize("header", [b"Content-Length: abc\r\n", b"Content-Length: -1\r\n", b""])
+def test_server_bad_content_length_gets_400(tmp_path, header):
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        request = b"POST /ingest HTTP/1.1\r\nHost: x\r\n" + header + b"\r\n" + encode_record(_record())
+        status, payload = _raw_request(srv.port, request)
+        assert status.split()[1] == b"400"
+        assert payload["field"] == "body"
+        assert _post(srv.url, _record())[0] == 201  # no handler thread is left stuck
+    assert scan_store(tmp_path / "s.jsonl") == [_record()]
+
+
+def test_server_stop_without_start_returns(tmp_path):
+    srv = TelemetryServer(tmp_path / "s.jsonl")
+    stopper = threading.Thread(target=srv.stop, daemon=True)
+    stopper.start()
+    stopper.join(5)
+    assert not stopper.is_alive()
 
 
 def test_server_record_query_filters(tmp_path):
