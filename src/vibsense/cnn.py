@@ -6,6 +6,16 @@ dense layer to N class scores, softmax. Trained with mean cross-entropy,
 Adam, and plateau learning-rate decay (multiply by the decay factor whenever
 best-so-far validation accuracy stalls for `patience` consecutive epochs).
 
+Layouts. Activations are channels-last, (n, L, C), through every conv
+block; an input batch (n, 12) enters as (n, 12, 1). Conv weights are
+(C_out, C_in, K) and the dense weights (C_in, N). Each conv block is one
+im2col copy, (n*L, C_in*K) with columns in (c, k) order, and one matmul
+against ``weights.reshape(C_out, -1)``, a view; the backward pass reuses
+that matrix for dW and the same view for dX (Chellapilla et al. 2006).
+The forward cache keeps each block's output, not its pre-activation, and
+activation derivatives are computed from it (ELU's is a + alpha for a <= 0;
+Clevert et al. 2015).
+
 Everything is numpy float64; a full run is reproducible bit-for-bit for a
 fixed (seed, hyperparams, dataset).
 """
@@ -32,25 +42,57 @@ INPUT_LEN = 12
 
 def elu(x, alpha: float = 1.0):
     """x for x > 0, alpha * (exp(x) - 1) otherwise."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 0, x, alpha * np.expm1(np.minimum(x, 0.0)))
-    return float(out) if out.ndim == 0 else out
+    out = _elu_inplace(np.array(x, dtype=float, ndmin=1), alpha)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _elu_grad(z, alpha):
-    # derivative at exactly 0 uses the positive-branch value 1
-    return np.where(z >= 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
+def _elu_inplace(z, alpha):
+    neg = np.minimum(z, 0.0)
+    np.expm1(neg, out=neg)
+    neg *= alpha
+    np.maximum(z, 0.0, out=z)
+    z += neg
+    return z
 
 
+def _sigmoid_inplace(z, alpha):
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
+def _elu_grad(a, alpha):
+    """ELU's derivative from its output a: 1 where a > 0, a + alpha elsewhere.
+
+    At z = 0 the output is 0, so the derivative is alpha (1 for alpha = 1).
+    """
+    g = np.minimum(a, 0.0)
+    g += alpha  # already 1 where a > 0 when alpha is 1; masked writes cost ~10x more
+    if alpha != 1.0:
+        g[a > 0] = 1.0
+    return g
+
+
+def _one_minus_square(a, alpha):
+    g = np.square(a)
+    return np.subtract(1.0, g, out=g)
+
+
+def _sigmoid_grad(a, alpha):
+    g = np.subtract(1.0, a)
+    g *= a
+    return g
+
+
+# name -> (f(z, alpha) computed in place on z, f'(z) from the output a = f(z)).
+# relu's derivative is a boolean mask; every other one is a float array.
 _ACTIVATIONS = {
-    "relu": (lambda z, a: np.maximum(z, 0.0), lambda z, a: (z > 0).astype(float)),
-    "elu": (lambda z, a: elu(z, a), _elu_grad),
-    "tanh": (lambda z, a: np.tanh(z), lambda z, a: 1.0 - np.tanh(z) ** 2),
-    "sigmoid": (
-        lambda z, a: 1.0 / (1.0 + np.exp(-z)),
-        lambda z, a: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s),
-    ),
-    "linear": (lambda z, a: z, lambda z, a: np.ones_like(z)),
+    "relu": (lambda z, alpha: np.maximum(z, 0.0, out=z), lambda a, alpha: a > 0),
+    "elu": (_elu_inplace, _elu_grad),
+    "tanh": (lambda z, alpha: np.tanh(z, out=z), _one_minus_square),
+    "sigmoid": (_sigmoid_inplace, _sigmoid_grad),
+    "linear": (lambda z, alpha: z, lambda a, alpha: np.ones_like(a)),
 }
 
 
@@ -161,38 +203,55 @@ def init_model(hp: CnnHyperparams, seed: int, class_names=None, input_len=INPUT_
     )
 
 
-def _conv_forward(x: np.ndarray, layer: ConvLayer):
-    """Same-padded stride-1 conv. x: (n, C_in, L) -> (n, C_out, L)."""
-    n, c_in, length = x.shape
-    c_out, _, k = layer.weights.shape
-    pad_l = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad_l, k - 1 - pad_l)))
-    # cols2[(i, l), k*C_in + c] = xp[i, c, l + k]
-    cols = np.concatenate([xp[:, :, j : j + length] for j in range(k)], axis=1)
-    cols2 = cols.transpose(0, 2, 1).reshape(n * length, k * c_in)
-    w2 = layer.weights.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    z = (cols2 @ w2.T).reshape(n, length, c_out).transpose(0, 2, 1) + layer.bias[None, :, None]
-    act, _ = _ACTIVATIONS[layer.activation]
-    return act(z, layer.elu_alpha), (cols2, z)
+def _taps(length: int, k: int):
+    """Per kernel tap j of a same-padded conv: (j, output rows, input rows).
 
-
-def _conv_backward(d_out: np.ndarray, layer: ConvLayer, cache, input_shape):
-    cols2, z = cache
-    n, c_in, length = input_shape
-    c_out, _, k = layer.weights.shape
-    _, grad = _ACTIVATIONS[layer.activation]
-    dz = d_out * grad(z, layer.elu_alpha)  # (n, C_out, L)
-    dz2 = dz.transpose(0, 2, 1).reshape(n * length, c_out)
-    dw2 = dz2.T @ cols2  # (C_out, K*C_in)
-    dw = dw2.reshape(c_out, k, c_in).transpose(0, 2, 1)
-    db = dz.sum(axis=(0, 2))
-    w2 = layer.weights.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    dcols = (dz2 @ w2).reshape(n, length, k * c_in).transpose(0, 2, 1)
+    Output position l reads input position l + j - (k - 1) // 2; positions
+    off either end read the zero padding, so only the slices overlap.
+    """
     pad_l = (k - 1) // 2
-    dxp = np.zeros((n, c_in, length + k - 1))
     for j in range(k):
-        dxp[:, :, j : j + length] += dcols[:, j * c_in : (j + 1) * c_in, :]
-    return dxp[:, :, pad_l : pad_l + length], dw, db
+        s = j - pad_l
+        yield j, slice(max(0, -s), length - max(0, s)), slice(max(0, s), length + min(0, s))
+
+
+def _conv_forward(x: np.ndarray, layer: ConvLayer):
+    """Same-padded stride-1 conv plus activation. x: (n, L, C_in) -> (n, L, C_out).
+
+    Returns the output and the im2col matrix ``cols`` (n*L, C_in*K): row
+    (i, l), column c*K + j holds x[i, l + j - pad, c], zero in the padding.
+    That column order is the order of ``layer.weights.reshape(C_out, -1)``.
+    """
+    n, length, c_in = x.shape
+    c_out, _, k = layer.weights.shape
+    cols = np.empty((n, length, c_in, k))
+    for j, out_rows, in_rows in _taps(length, k):
+        cols[:, out_rows, :, j] = x[:, in_rows]
+        cols[:, : out_rows.start, :, j] = 0.0
+        cols[:, out_rows.stop :, :, j] = 0.0
+    cols = cols.reshape(n * length, c_in * k)
+    z = cols @ layer.weights.reshape(c_out, -1).T
+    z += layer.bias
+    act, _ = _ACTIVATIONS[layer.activation]
+    return act(z, layer.elu_alpha).reshape(n, length, c_out), cols
+
+
+def _conv_backward(d_out: np.ndarray, layer: ConvLayer, cache, need_dx: bool):
+    """Gradients of one conv block from d(loss)/d(output); dx is None unless need_dx."""
+    cols, a = cache
+    n, length, c_out = a.shape
+    _, grad = _ACTIVATIONS[layer.activation]
+    dz = np.multiply(d_out, grad(a, layer.elu_alpha)).reshape(n * length, c_out)
+    dw = (dz.T @ cols).reshape(layer.weights.shape)
+    db = dz.sum(axis=0)
+    if not need_dx:
+        return None, dw, db
+    _, c_in, k = layer.weights.shape
+    dcols = (dz @ layer.weights.reshape(c_out, -1)).reshape(n, length, c_in, k)
+    dx = np.zeros((n, length, c_in))
+    for j, out_rows, in_rows in _taps(length, k):
+        dx[:, in_rows] += dcols[:, out_rows, :, j]
+    return dx, dw, db
 
 
 def forward(model: CnnModel, batch: np.ndarray, return_cache: bool = False):
@@ -206,25 +265,21 @@ def forward(model: CnnModel, batch: np.ndarray, return_cache: bool = False):
         raise ValueError("input contains non-finite values")
 
     caches = []
-    inputs = []
-    a = x
+    a = x.reshape(len(x), model.input_len, 1)  # channels-last (n, L, C)
     for layer in model.conv_layers:
-        inputs.append(a)
-        a, cache = _conv_forward(a, layer)
-        caches.append(cache)
-    g = a.mean(axis=2)  # global average pooling (n, C)
+        a, cols = _conv_forward(a, layer)
+        caches.append((cols, a))  # backward takes dW from cols and f'(z) from a
+    g = a.mean(axis=1)  # global average pooling (n, C)
     logits = g @ model.dense.weights + model.dense.bias
     logits_shift = logits - logits.max(axis=1, keepdims=True)
     log_probs = logits_shift - np.log(np.exp(logits_shift).sum(axis=1, keepdims=True))
     probs = np.exp(log_probs)
     if return_cache:
         return probs, {
-            "inputs": inputs,
             "conv_caches": caches,
             "gap": g,
             "log_probs": log_probs,
             "probs": probs,
-            "seq_len": a.shape[2],
         }
     return probs
 
@@ -246,13 +301,13 @@ def backward(model: CnnModel, cache: dict, labels: np.ndarray) -> list[np.ndarra
     d_dense_b = dlogits.sum(axis=0)
     dg = dlogits @ model.dense.weights.T
 
-    length = cache["seq_len"]
-    d_a = np.repeat(dg[:, :, None] / length, length, axis=2)
+    conv_caches = cache["conv_caches"]
+    last_out = conv_caches[-1][1]
+    d_a = np.broadcast_to((dg / last_out.shape[1])[:, None, :], last_out.shape)
     grads = [d_dense_b, d_dense_w]  # reversed here, flipped below
-    for layer, layer_cache, layer_in in zip(
-        reversed(model.conv_layers), reversed(cache["conv_caches"]), reversed(cache["inputs"])
-    ):
-        d_a, dw, db = _conv_backward(d_a, layer, layer_cache, layer_in.shape)
+    for depth in reversed(range(len(model.conv_layers))):
+        layer = model.conv_layers[depth]
+        d_a, dw, db = _conv_backward(d_a, layer, conv_caches[depth], need_dx=depth > 0)
         grads.extend([db, dw])
     grads.reverse()  # now W1, b1, ..., W_depth, b_depth, Wd, bd
     return grads
@@ -294,16 +349,26 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update, in place, through one reused scratch buffer."""
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
+    scratch = np.empty(max(p.size for p in params))
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        tmp = scratch[: p.size].reshape(p.shape)
+        np.multiply(g, 1.0 - beta1, out=tmp)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        p -= tmp
 
 
 class PlateauScheduler:

@@ -34,6 +34,9 @@ _WIRE_RENAMES = {"crest_factor": "creast_factor"}
 WIRE_FEATURE_KEYS = tuple(_WIRE_RENAMES.get(name, name) for name in FEATURE_COLUMNS)
 _WIRE_FIELDS = tuple(zip(FEATURE_COLUMNS, WIRE_FEATURE_KEYS))  # (attribute, wire key)
 
+MAX_BODY_BYTES = 64 * 1024  # a POST body above this gets 413; one record is about 440 bytes
+STOP_POLL_S = 0.05  # how often a start()ed serve loop checks for stop(); stop() waits up to this
+
 
 @dataclass(frozen=True)
 class TelemetryRecord:
@@ -281,6 +284,10 @@ class _ServiceState:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Buffered output: headers and body leave in one write. Two small writes
+    # on a keep-alive connection would stall the body behind the client's
+    # delayed ACK (Nagle), about 40 ms per request.
+    wbufsize = -1
 
     def _send(self, status: int, payload: dict):
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
@@ -289,6 +296,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def do_POST(self):  # noqa: N802 (http.server API)
         if urllib.parse.urlsplit(self.path).path != "/ingest":
@@ -303,6 +311,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(
                 400, {"error": "Content-Length must be a non-negative integer", "field": "body"}
             )
+            return
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body is left unread
+            self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes", "field": "body"})
             return
         body = self.rfile.read(length)
         try:
@@ -368,8 +380,13 @@ class TelemetryServer:
 
     def __init__(self, store_path, host: str = "127.0.0.1", port: int = 0):
         self.store_path = store_path
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.state = _ServiceState(store_path)
+        state = _ServiceState(store_path)  # before binding: a bad store leaves no open socket
+        try:
+            self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        except OSError:
+            state.close()
+            raise
+        self._httpd.state = state
         self._thread = None
 
     @property
@@ -389,7 +406,9 @@ class TelemetryServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "TelemetryServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": STOP_POLL_S}, daemon=True
+        )
         self._thread.start()
         return self
 
@@ -401,6 +420,7 @@ class TelemetryServer:
         self.state.close()
 
     def serve_forever(self):
+        """Serve in the calling thread until it is interrupted; stop() does not end this loop."""
         self._httpd.serve_forever()
 
     def __enter__(self):

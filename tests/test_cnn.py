@@ -64,9 +64,35 @@ def test_elu_reference_points():
 
 def test_elu_is_continuous_and_grad_one_at_zero():
     assert abs(elu(-1e-12) - (-1e-12)) < 1e-24
-    assert _elu_grad(0.0, 1.0) == 1.0
-    assert _elu_grad(1e-9, 1.0) == 1.0
-    assert _elu_grad(-1e-9, 1.0) == pytest.approx(1.0, abs=1e-8)
+    # the gradient is read from the output array a = elu(z)
+    at_zero, above, below = _elu_grad(elu(np.array([0.0, 1e-9, -1e-9])), 1.0)
+    assert at_zero == 1.0
+    assert above == 1.0
+    assert below == pytest.approx(1.0, abs=1e-8)
+
+
+ANALYTIC_GRADS = {
+    "relu": lambda z, alpha: (z > 0).astype(float),
+    "elu": lambda z, alpha: np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0))),
+    "tanh": lambda z, alpha: 1.0 / np.cosh(z) ** 2,
+    "sigmoid": lambda z, alpha: np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))) ** 2,
+    "linear": lambda z, alpha: np.ones_like(z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cnn._ACTIVATIONS))
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+def test_activation_gradient_from_output_matches_analytic(name, alpha):
+    z = np.concatenate([[-30.0, -1e-9, 0.0, 1e-9, 30.0], np.linspace(-6.0, 6.0, 241)])
+    act, grad = cnn._ACTIVATIONS[name]
+    a = act(z.copy(), alpha)
+    got = np.asarray(grad(a, alpha), dtype=float)
+    # a = f(z) is rounded to float64, so f'(a) carries an absolute error of a
+    # few ulps of 1 where it cancels (1 - a*a near saturation, a + alpha near -alpha)
+    np.testing.assert_allclose(got, ANALYTIC_GRADS[name](z, alpha),
+                               rtol=1e-12, atol=4 * np.finfo(float).eps)
+    if name == "elu" and alpha == 1.0:
+        assert got[2] == 1.0  # z = 0
 
 
 # ------------------------------------------------------------- architecture
@@ -137,20 +163,20 @@ def test_init_model_shapes_and_determinism():
 def test_forward_matches_naive_convolution():
     rng = np.random.default_rng(7)
     for k in (1, 2, 3, 4):
-        x = rng.normal(size=(3, 2, 12))
+        x = rng.normal(size=(3, 12, 2))  # channels-last (n, L, C_in)
         layer = ConvLayer(rng.normal(size=(4, 2, k)), rng.normal(size=4), "linear")
         z, _ = cnn._conv_forward(x, layer)
         pad_l = (k - 1) // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad_l, k - 1 - pad_l)))
-        want = np.empty((3, 4, 12))
+        xp = np.pad(x, ((0, 0), (pad_l, k - 1 - pad_l), (0, 0)))
+        want = np.empty((3, 12, 4))
         for i in range(3):
             for co in range(4):
                 for pos in range(12):
                     acc = layer.bias[co]
                     for ci in range(2):
                         for j in range(k):
-                            acc += layer.weights[co, ci, j] * xp[i, ci, pos + j]
-                    want[i, co, pos] = acc
+                            acc += layer.weights[co, ci, j] * xp[i, pos + j, ci]
+                    want[i, pos, co] = acc
         assert np.allclose(z, want, atol=1e-12)
 
 
@@ -211,7 +237,7 @@ def test_cross_entropy_limits():
 
 def _loss_and_sign_masks(model, x, y):
     _, cache = forward(model, x, return_cache=True)
-    masks = [z > 0 for _, z in cache["conv_caches"]]
+    masks = [a > 0 for _, a in cache["conv_caches"]]  # each layer's (im2col, output)
     return cross_entropy(cache["log_probs"], y), masks
 
 

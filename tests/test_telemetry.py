@@ -1,3 +1,5 @@
+import gc
+import http.client
 import json
 import socket
 import threading
@@ -254,7 +256,7 @@ def test_store_bulk_scan_matches_line_count(tmp_path):
 
 def test_store_survives_a_torn_write_at_every_offset(tmp_path):
     # a restart is a fresh server state over the same store; the HTTP loop
-    # plays no part in opening the store and takes 0.5 s to stop
+    # plays no part in opening the store
     records = [_record(seq=i, seed=i) for i in range(4)]
     lines = [encode_record(r) + b"\n" for r in records]
     path = tmp_path / "store.jsonl"
@@ -361,6 +363,56 @@ def test_server_bad_content_length_gets_400(tmp_path, header):
         assert payload["field"] == "body"
         assert _post(srv.url, _record())[0] == 201  # no handler thread is left stuck
     assert scan_store(tmp_path / "s.jsonl") == [_record()]
+
+
+def test_server_oversized_body_gets_413_without_reading_it(tmp_path):
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=1) as sock:
+            t0 = time.perf_counter()
+            sock.sendall(b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000000\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes: no body is awaited
+                reply += chunk
+            elapsed = time.perf_counter() - t0
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"413"
+        assert json.loads(body)["field"] == "body"
+        assert elapsed < 1.0
+        assert _post(srv.url, _record())[0] == 201
+
+
+def test_server_keep_alive_requests_are_not_delayed(tmp_path):
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        conn = http.client.HTTPConnection(srv.host, srv.port, timeout=5)
+        try:
+            times = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/nodes")
+                resp = conn.getresponse()
+                assert resp.status == 200 and json.loads(resp.read()) == {"nodes": []}
+                times.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+    assert sorted(times)[len(times) // 2] < 0.010
+
+
+def test_server_on_a_corrupt_store_leaves_no_open_socket(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(b"{not a record\n" + encode_record(_record()) + b"\n")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(StoreError):
+            TelemetryServer(path)
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+
+def test_server_idle_stop_is_quick(tmp_path):
+    srv = TelemetryServer(tmp_path / "s.jsonl").start()
+    t0 = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - t0 < 0.2
 
 
 def test_server_stop_without_start_returns(tmp_path):
