@@ -162,13 +162,8 @@ def sweep_k(
     seed: int = 0,
 ) -> tuple[int, dict[int, float]]:
     """Mean cross-validated accuracy per k; best k breaks ties downward."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    assignments = _fold_assignments(ds, folds, seed)
     curve = {int(k): 0.0 for k in k_range}
-    for fold in range(folds):
-        train = ds.subset(np.flatnonzero(assignments != fold))
-        val = ds.subset(np.flatnonzero(assignments == fold))
+    for train, val in cv_folds(ds, folds, seed):
         model = knn_fit(train)
         for k in curve:
             if k > len(train):
@@ -177,6 +172,16 @@ def sweep_k(
             curve[k] += float(np.mean(preds == val.labels)) / folds
     best_k = max(curve, key=lambda k: (curve[k], -k))
     return best_k, curve
+
+
+def cv_folds(ds: LabeledDataset, folds: int, seed: int):
+    """Yield the stratified (train, val) pair of each fold, in fold order."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    assignments = _fold_assignments(ds, folds, seed)
+    for fold in range(folds):
+        in_fold = assignments == fold
+        yield ds.subset(np.flatnonzero(~in_fold)), ds.subset(np.flatnonzero(in_fold))
 
 
 def _fold_assignments(ds: LabeledDataset, folds: int, seed: int) -> np.ndarray:

@@ -11,6 +11,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import types
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -42,7 +44,11 @@ from .signalsim import (
 
 @dataclasses.dataclass
 class RunConfig:
-    """Defaults loadable from a --config JSON file."""
+    """Settings a --config JSON file can give; a flag overrides its value.
+
+    After parsing, ``main`` fills every setting the command line left unset
+    from the config file, else from the defaults here.
+    """
 
     seed: int = 0
     out: str = "out"
@@ -56,54 +62,65 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
+        """Read a JSON object; a null value leaves its setting unset."""
         data = json.loads(Path(path).read_text())
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        hints = typing.get_type_hints(cls)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        data = {key: value for key, value in data.items() if value is not None}
+        for key, value in data.items():
+            if not _is_a(value, hints[key]):
+                want = getattr(hints[key], "__name__", hints[key])
+                raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
         return cls(**data)
 
 
-def _resolve(args, name, default=None):
-    """flag > config > default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if args.run_config is not None:
-        from_config = getattr(args.run_config, name, None)
-        if from_config is not None:
-            return from_config
-    return default
+def _is_a(value, hint) -> bool:
+    """isinstance against an annotation such as int, str | None or list[str] | None."""
+    if isinstance(hint, types.UnionType):
+        return any(_is_a(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_is_a(v, item) for v in value)
+    return isinstance(value, hint) and not (isinstance(value, bool) and hint is not bool)
+
+
+def _apply_config(args) -> None:
+    """Fill each RunConfig setting the command line left unset: config file, else default."""
+    config = RunConfig.load(args.config) if args.config else RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        if getattr(args, f.name, None) is None:
+            setattr(args, f.name, getattr(config, f.name))
 
 
 def _profiles_for(args) -> dict[StructureClass, ClassProfile]:
     profiles = dict(DEFAULT_PROFILES)
-    overrides = (args.run_config.profiles if args.run_config else None) or {}
-    for name, fields in overrides.items():
+    for name, fields in (args.profiles or {}).items():
         cls = StructureClass.from_name(name)
         profiles[cls] = dataclasses.replace(profiles[cls], **fields)
-    classes = _resolve(args, "classes")
-    if classes:
-        wanted = [StructureClass.from_name(c) for c in classes]
+    if args.classes:
+        wanted = [StructureClass.from_name(c) for c in args.classes]
         profiles = {c: profiles[c] for c in wanted}
     return profiles
 
 
 def _out_dir(args) -> Path:
-    out = Path(_resolve(args, "out", "out"))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _in_path(args, name, relative) -> Path:
     """Input path: explicit flag/config first, else <out>/<relative>."""
-    value = _resolve(args, name)
-    if value is not None:
-        return Path(value)
-    return Path(_resolve(args, "out", "out")) / relative
+    value = getattr(args, name)
+    return Path(value) if value is not None else Path(args.out) / relative
 
 
-def _load_dataset(path) -> baselines.LabeledDataset:
+def _load_dataset(args) -> baselines.LabeledDataset:
+    path = _in_path(args, "features", "features.csv")
     vectors, labels = read_feature_csv(path)
     if any(lbl is None for lbl in labels):
         raise ValueError(f"{path}: every row needs a class label")
@@ -114,9 +131,8 @@ def _load_dataset(path) -> baselines.LabeledDataset:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    seed = _resolve(args, "seed", 0)
     profiles = _profiles_for(args)
-    windows = simulate_corpus(args.count, profiles, FrontEndConfig(), seed=seed)
+    windows = simulate_corpus(args.count, profiles, FrontEndConfig(), seed=args.seed)
     win_dir = out / "windows"
     win_dir.mkdir(exist_ok=True)
     for i, window in enumerate(windows):
@@ -173,8 +189,7 @@ def cmd_select(args) -> int:
     if args.correlations:
         report = selection.read_correlation_csv(Path(args.correlations).read_text())
     else:
-        ds = _load_dataset(_in_path(args, "features", "features.csv"))
-        report = selection.correlation_table(ds)
+        report = selection.correlation_table(_load_dataset(args))
     mask = selection.select_features(report)
     (out / "correlation.csv").write_text(selection.correlation_csv(report))
     chosen = [name for name, keep in zip(report.features, mask) if keep]
@@ -196,13 +211,12 @@ def _selected_columns(out: Path, ds) -> tuple[np.ndarray, list[str]]:
 
 def cmd_train_knn(args) -> int:
     out = _out_dir(args)
-    seed = _resolve(args, "seed", 0)
-    ds = _load_dataset(_in_path(args, "features", "features.csv"))
+    ds = _load_dataset(args)
     mask, names = _selected_columns(out, ds)
     ds_sel = ds.select_columns(mask)
-    train_ds, _, test_ds = baselines.split(ds_sel, (0.7, 0.1, 0.2), seed=seed, stratified=True)
+    train_ds, _, test_ds = baselines.split(ds_sel, (0.7, 0.1, 0.2), seed=args.seed, stratified=True)
 
-    best_k, curve = baselines.sweep_k(train_ds, seed=seed)
+    best_k, curve = baselines.sweep_k(train_ds, seed=args.seed)
     model = baselines.knn_fit(train_ds)
     preds = baselines.knn_predict_batch(model, test_ds.rows, best_k)
     metrics = baselines.evaluate(preds, test_ds.labels, len(ds.classes))
@@ -225,10 +239,9 @@ def cmd_train_knn(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     out = _out_dir(args)
-    seed = _resolve(args, "seed", 0)
-    ds = _load_dataset(_in_path(args, "features", "features.csv"))
+    ds = _load_dataset(args)
     mask, _ = _selected_columns(out, ds)
-    best_k, curve = baselines.sweep_k(ds.select_columns(mask), seed=seed)
+    best_k, curve = baselines.sweep_k(ds.select_columns(mask), seed=args.seed)
     lines = ["k,cv_accuracy"] + [f"{k},{curve[k]!r}" for k in sorted(curve)]
     (out / "k_curve.csv").write_text("\n".join(lines) + "\n")
     _save_k_curve(curve, out / "k_curve.svg")
@@ -277,20 +290,16 @@ def _grids_for(args) -> dict | None:
             "base_filters": [4, 8],
             "activation": ["relu", "elu"],
         }
-    if args.run_config and args.run_config.grids:
-        return args.run_config.grids
-    return None
+    return args.grids
 
 
 def cmd_train_cnn(args) -> int:
     out = _out_dir(args)
-    seed = _resolve(args, "seed", 0)
-    ds = _load_dataset(_in_path(args, "features", "features.csv"))
-    epochs = args.epochs
+    ds = _load_dataset(args)
 
     if args.reduced_grid:
         result = cnn.grid_search(
-            ds, grids=_grids_for(args), folds=args.folds, seed=seed, epochs=epochs
+            ds, grids=_grids_for(args), folds=args.folds, seed=args.seed, epochs=args.epochs
         )
         hp = result.winner
         print(f"train-cnn: reduced grid winner {_hp_str(hp)}")
@@ -302,8 +311,10 @@ def cmd_train_cnn(args) -> int:
             activation=args.activation,
         )
 
-    train_ds, val_ds, test_ds = baselines.split(ds, (0.7, 0.1, 0.2), seed=seed, stratified=True)
-    model = cnn.train(train_ds, hp, seed=seed, val=val_ds, epochs=epochs)
+    train_ds, val_ds, test_ds = baselines.split(
+        ds, (0.7, 0.1, 0.2), seed=args.seed, stratified=True
+    )
+    model = cnn.train(train_ds, hp, seed=args.seed, val=val_ds, epochs=args.epochs)
     cnn.save_checkpoint(model, out / "cnn_checkpoint.json")
     _write_history_csv(out / "cnn_history.csv", model.history)
 
@@ -324,10 +335,9 @@ def _hp_str(hp: cnn.CnnHyperparams) -> str:
 
 def cmd_grid_search(args) -> int:
     out = _out_dir(args)
-    seed = _resolve(args, "seed", 0)
-    ds = _load_dataset(_in_path(args, "features", "features.csv"))
     result = cnn.grid_search(
-        ds, grids=_grids_for(args), folds=args.folds, seed=seed, epochs=args.epochs
+        _load_dataset(args), grids=_grids_for(args), folds=args.folds, seed=args.seed,
+        epochs=args.epochs,
     )
     lines = [",".join(["rank", *cnn.DEFAULT_GRIDS, "mean_cv_accuracy"])]
     for rank, (hp, score) in enumerate(result.ranked, start=1):
@@ -347,13 +357,11 @@ def cmd_grid_search(args) -> int:
 
 def cmd_fit_height(args) -> int:
     out = _out_dir(args)
-    seed = _resolve(args, "seed", 0)
-    n_floors = args.floors
     lines = []
     for idx, (name, law) in enumerate(sorted(REFERENCE_LAWS.items())):
         windows = [
-            building_series(law, floor, noise_sd=2.0, seed=seed * 7919 + idx * 101 + floor)
-            for floor in range(1, n_floors + 1)
+            building_series(law, floor, noise_sd=2.0, seed=args.seed * 7919 + idx * 101 + floor)
+            for floor in range(1, args.floors + 1)
         ]
         observations = heightfit.floor_profile(windows, law.orientation)
         expected = "positive" if law.slope > 0 else ("negative" if law.slope < 0 else "flat")
@@ -388,12 +396,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_emulate_node(args) -> int:
-    endpoint = _resolve(args, "endpoint")
-    if endpoint is None:
-        endpoint = _resolve(args, "store")
+    endpoint = args.endpoint if args.endpoint is not None else args.store
     if endpoint is None:
         raise ValueError("emulate-node needs --endpoint (URL) or --store (dry-run file)")
-    seed = _resolve(args, "seed", 0)
     profiles = _profiles_for(args)
     cls = StructureClass.from_name(args.structure)
     if cls not in profiles:
@@ -407,7 +412,7 @@ def cmd_emulate_node(args) -> int:
         endpoint,
         interval_s=args.interval,
         count=args.count,
-        seed=seed,
+        seed=args.seed,
         node_id=args.node_id,
         site=args.site,
         start_seq=args.start_seq,
@@ -441,43 +446,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON run-config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=True, out=True):
+    def command(name, handler, summary, *, seed=True, out=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if seed:
             p.add_argument("--seed", type=int, default=None)
         if out:
             p.add_argument("--out", default=None)
+        return p
 
-    p = sub.add_parser("simulate", help="generate a labeled window corpus")
-    common(p)
+    p = command("simulate", cmd_simulate, "generate a labeled window corpus")
     p.add_argument("--count", type=int, default=1159)
     p.add_argument("--classes", nargs="+", default=None)
 
-    p = sub.add_parser("extract", help="window CSVs -> feature table")
-    common(p, seed=False)
+    p = command("extract", cmd_extract, "window CSVs -> feature table", seed=False)
     p.add_argument("--windows", default=None)
 
-    p = sub.add_parser("spectral-check", help="dominant-bin flatness report")
-    common(p, seed=False)
+    p = command("spectral-check", cmd_spectral_check, "dominant-bin flatness report", seed=False)
     p.add_argument("--windows", default=None)
 
-    p = sub.add_parser("select", help="correlation table + feature mask")
-    common(p, seed=False)
+    p = command("select", cmd_select, "correlation table + feature mask", seed=False)
     p.add_argument("--features", default=None)
     p.add_argument("--correlations", default=None,
                    help="apply the rule to an existing correlation CSV instead")
 
-    p = sub.add_parser("train-knn", help="sweep k, fit, evaluate on held-out split")
-    common(p)
+    p = command("train-knn", cmd_train_knn, "sweep k, fit, evaluate on held-out split")
     p.add_argument("--features", default=None)
 
-    p = sub.add_parser("sweep-k", help="cross-validated accuracy per k")
-    common(p)
+    p = command("sweep-k", cmd_sweep_k, "cross-validated accuracy per k")
     p.add_argument("--features", default=None)
 
-    p = sub.add_parser("train-cnn", help="train the 1D CNN")
-    common(p)
+    p = command("train-cnn", cmd_train_cnn, "train the 1D CNN")
     p.add_argument("--features", default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=cnn.EPOCHS)
     p.add_argument("--folds", type=int, default=2)
     p.add_argument("--reduced-grid", action="store_true")
     p.add_argument("--batch-size", type=int, default=100)
@@ -485,25 +486,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-filters", type=int, default=32)
     p.add_argument("--activation", default="elu")
 
-    p = sub.add_parser("grid-search", help="hyperparameter grid with CV")
-    common(p)
+    p = command("grid-search", cmd_grid_search, "hyperparameter grid with CV")
     p.add_argument("--features", default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=cnn.EPOCHS)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--reduced-grid", action="store_true")
 
-    p = sub.add_parser("fit-height", help="mean amplitude vs floor fits")
-    common(p)
+    p = command("fit-height", cmd_fit_height, "mean amplitude vs floor fits")
     p.add_argument("--floors", type=int, default=6)
 
-    p = sub.add_parser("serve", help="run the telemetry ingestion service")
-    common(p, seed=False)
+    p = command("serve", cmd_serve, "run the telemetry ingestion service", seed=False)
     p.add_argument("--store", default=None)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
 
-    p = sub.add_parser("emulate-node", help="post synthetic records to a service")
-    common(p, out=False)
+    p = command("emulate-node", cmd_emulate_node, "post synthetic records to a service", out=False)
     p.add_argument("--structure", default="building")
     p.add_argument("--endpoint", default=None)
     p.add_argument("--store", default=None, help="dry-run sink when no endpoint")
@@ -514,34 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-seq", type=int, default=0)
     p.add_argument("--base-time-ms", type=int, default=None)
 
-    p = sub.add_parser("report", help="summarize a telemetry store")
-    common(p, seed=False)
+    p = command("report", cmd_report, "summarize a telemetry store", seed=False)
     p.add_argument("--store", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    handlers = {
-        "simulate": cmd_simulate,
-        "extract": cmd_extract,
-        "spectral-check": cmd_spectral_check,
-        "select": cmd_select,
-        "train-knn": cmd_train_knn,
-        "sweep-k": cmd_sweep_k,
-        "train-cnn": cmd_train_cnn,
-        "grid-search": cmd_grid_search,
-        "fit-height": cmd_fit_height,
-        "serve": cmd_serve,
-        "emulate-node": cmd_emulate_node,
-        "report": cmd_report,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        args.run_config = RunConfig.load(args.config) if args.config else None
-        return handlers[args.command](args)
+        _apply_config(args)
+        return args.handler(args)
     except (VibsenseError, OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 """From-scratch 1D CNN over the 12-feature vector.
 
-Architecture: five same-padded stride-1 convolution blocks whose channel
-count doubles per layer (2^r * q at layer r), global average pooling, one
-dense layer to N class scores, softmax. Trained with mean cross-entropy,
-Adam, and plateau learning-rate decay (multiply by the decay factor whenever
-best-so-far validation accuracy stalls for `patience` consecutive epochs).
+Architecture: DEPTH = 5 same-padded stride-1 convolution blocks whose
+channel count doubles per layer (2^r * q at layer r), global average pooling,
+one dense layer to N class scores, softmax. Trained with mean cross-entropy,
+Adam (Kingma & Ba 2015 defaults) and plateau learning-rate decay (LR0 times
+DECAY_FACTOR whenever best-so-far validation accuracy stalls for PATIENCE
+consecutive epochs). Only the paper's grid axes vary: :class:`CnnHyperparams`.
 
 Layouts. Activations are channels-last, (n, L, C), through every conv
 block; an input batch (n, 12) enters as (n, 12, 1). Conv weights are
@@ -13,8 +14,8 @@ im2col copy, (n*L, C_in*K) with columns in (c, k) order, and one matmul
 against ``weights.reshape(C_out, -1)``, a view; the backward pass reuses
 that matrix for dW and the same view for dX (Chellapilla et al. 2006).
 The forward cache keeps each block's output, not its pre-activation, and
-activation derivatives are computed from it (ELU's is a + alpha for a <= 0;
-Clevert et al. 2015).
+activation derivatives are computed from it (ELU, with alpha = 1, has
+derivative a + 1 for a <= 0; Clevert et al. 2015).
 
 Everything is numpy float64; a full run is reproducible bit-for-bit for a
 fixed (seed, hyperparams, dataset).
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import LabeledDataset, split
+from .baselines import LabeledDataset, cv_folds
 from .errors import DivergenceError
 
 BATCH_SIZES = (50, 100, 200, 400)
@@ -38,61 +39,61 @@ BASE_FILTERS = (4, 8, 16, 32)
 ACTIVATION_GRID = ("relu", "elu", "tanh", "sigmoid")
 
 INPUT_LEN = 12
+DEPTH = 5  # conv blocks
+LR0 = 1e-2
+DECAY_FACTOR = 0.8
+PATIENCE = 10
+EPOCHS = 1000
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def elu(x, alpha: float = 1.0):
-    """x for x > 0, alpha * (exp(x) - 1) otherwise."""
-    out = _elu_inplace(np.array(x, dtype=float, ndmin=1), alpha)
+def elu(x):
+    """x for x > 0, exp(x) - 1 otherwise."""
+    out = _elu_inplace(np.array(x, dtype=float, ndmin=1))
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _elu_inplace(z, alpha):
+def _elu_inplace(z):
     neg = np.minimum(z, 0.0)
     np.expm1(neg, out=neg)
-    neg *= alpha
     np.maximum(z, 0.0, out=z)
     z += neg
     return z
 
 
-def _sigmoid_inplace(z, alpha):
+def _sigmoid_inplace(z):
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
     return np.reciprocal(z, out=z)
 
 
-def _elu_grad(a, alpha):
-    """ELU's derivative from its output a: 1 where a > 0, a + alpha elsewhere.
-
-    At z = 0 the output is 0, so the derivative is alpha (1 for alpha = 1).
-    """
+def _elu_grad(a):
+    """ELU's derivative from its output a: 1 where a > 0, a + 1 elsewhere (1 at z = 0)."""
     g = np.minimum(a, 0.0)
-    g += alpha  # already 1 where a > 0 when alpha is 1; masked writes cost ~10x more
-    if alpha != 1.0:
-        g[a > 0] = 1.0
+    g += 1.0
     return g
 
 
-def _one_minus_square(a, alpha):
+def _one_minus_square(a):
     g = np.square(a)
     return np.subtract(1.0, g, out=g)
 
 
-def _sigmoid_grad(a, alpha):
+def _sigmoid_grad(a):
     g = np.subtract(1.0, a)
     g *= a
     return g
 
 
-# name -> (f(z, alpha) computed in place on z, f'(z) from the output a = f(z)).
+# name -> (f(z) computed in place on z, f'(z) from the output a = f(z)).
 # relu's derivative is a boolean mask; every other one is a float array.
 _ACTIVATIONS = {
-    "relu": (lambda z, alpha: np.maximum(z, 0.0, out=z), lambda a, alpha: a > 0),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0),
     "elu": (_elu_inplace, _elu_grad),
-    "tanh": (lambda z, alpha: np.tanh(z, out=z), _one_minus_square),
+    "tanh": (lambda z: np.tanh(z, out=z), _one_minus_square),
     "sigmoid": (_sigmoid_inplace, _sigmoid_grad),
-    "linear": (lambda z, alpha: z, lambda a, alpha: np.ones_like(a)),
+    "linear": (lambda z: z, np.ones_like),
 }
 
 
@@ -102,12 +103,6 @@ class CnnHyperparams:
     kernel_length: int = 3
     base_filters: int = 32
     activation: str = "elu"
-    elu_alpha: float = 1.0
-    lr0: float = 1e-2
-    decay_factor: float = 0.8
-    patience: int = 10
-    epochs: int = 1000
-    depth: int = 5
     n_classes: int = 5
 
     def __post_init__(self):
@@ -119,15 +114,13 @@ class CnnHyperparams:
             raise ValueError(f"base_filters must be one of {BASE_FILTERS}")
         if self.activation not in ACTIVATION_GRID:
             raise ValueError(f"activation must be one of {ACTIVATION_GRID}")
-        if self.elu_alpha <= 0:
-            raise ValueError("elu_alpha must be > 0")
 
     def channel_counts(self) -> list[int]:
-        return [2**r * self.base_filters for r in range(self.depth)]
+        return [2**r * self.base_filters for r in range(DEPTH)]
 
 
 def layer_output_sizes(hp: CnnHyperparams) -> list[tuple[int, int]]:
-    """(length, channels) per layer: depth conv blocks, GAP, dense."""
+    """(length, channels) per layer: DEPTH conv blocks, GAP, dense."""
     sizes = [(INPUT_LEN, c) for c in hp.channel_counts()]
     sizes.append((1, hp.channel_counts()[-1]))
     sizes.append((1, hp.n_classes))
@@ -139,7 +132,6 @@ class ConvLayer:
     weights: np.ndarray  # (C_out, C_in, K)
     bias: np.ndarray  # (C_out,)
     activation: str = "elu"
-    elu_alpha: float = 1.0
 
 
 @dataclass
@@ -178,7 +170,7 @@ class PredictionResult:
     class_name: str
 
 
-def init_model(hp: CnnHyperparams, seed: int, class_names=None, input_len=INPUT_LEN) -> CnnModel:
+def init_model(hp: CnnHyperparams, seed: int, class_names=None) -> CnnModel:
     """Fan-in-scaled uniform weight init, zero biases, seeded."""
     rng = np.random.default_rng(seed)
     layers = []
@@ -186,7 +178,7 @@ def init_model(hp: CnnHyperparams, seed: int, class_names=None, input_len=INPUT_
     for c_out in hp.channel_counts():
         bound = np.sqrt(1.0 / (c_in * hp.kernel_length))
         w = rng.uniform(-bound, bound, size=(c_out, c_in, hp.kernel_length))
-        layers.append(ConvLayer(w, np.zeros(c_out), hp.activation, hp.elu_alpha))
+        layers.append(ConvLayer(w, np.zeros(c_out), hp.activation))
         c_in = c_out
     bound = np.sqrt(1.0 / c_in)
     dense = DenseLayer(
@@ -197,8 +189,8 @@ def init_model(hp: CnnHyperparams, seed: int, class_names=None, input_len=INPUT_
         conv_layers=layers,
         dense=dense,
         hp=hp,
-        input_mean=np.zeros(input_len),
-        input_std=np.ones(input_len),
+        input_mean=np.zeros(INPUT_LEN),
+        input_std=np.ones(INPUT_LEN),
         class_names=names,
     )
 
@@ -233,7 +225,7 @@ def _conv_forward(x: np.ndarray, layer: ConvLayer):
     z = cols @ layer.weights.reshape(c_out, -1).T
     z += layer.bias
     act, _ = _ACTIVATIONS[layer.activation]
-    return act(z, layer.elu_alpha).reshape(n, length, c_out), cols
+    return act(z).reshape(n, length, c_out), cols
 
 
 def _conv_backward(d_out: np.ndarray, layer: ConvLayer, cache, need_dx: bool):
@@ -241,7 +233,7 @@ def _conv_backward(d_out: np.ndarray, layer: ConvLayer, cache, need_dx: bool):
     cols, a = cache
     n, length, c_out = a.shape
     _, grad = _ACTIVATIONS[layer.activation]
-    dz = np.multiply(d_out, grad(a, layer.elu_alpha)).reshape(n * length, c_out)
+    dz = np.multiply(d_out, grad(a)).reshape(n * length, c_out)
     dw = (dz.T @ cols).reshape(layer.weights.shape)
     db = dz.sum(axis=0)
     if not need_dx:
@@ -341,31 +333,25 @@ class AdamState:
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float
 ) -> None:
     """Bias-corrected Adam update, in place, through one reused scratch buffer."""
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     scratch = np.empty(max(p.size for p in params))
     for p, g, m, v in zip(params, grads, state.m, state.v):
         tmp = scratch[: p.size].reshape(p.shape)
-        np.multiply(g, 1.0 - beta1, out=tmp)
-        m *= beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m *= ADAM_BETA1
         m += tmp
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        v *= beta2
+        tmp *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += eps
+        tmp += ADAM_EPS
         np.divide(m, tmp, out=tmp)
         tmp *= lr / bc1
         p -= tmp
@@ -411,42 +397,40 @@ class PlateauScheduler:
 
 def train(
     ds: LabeledDataset,
-    hp: CnnHyperparams = CnnHyperparams(),
-    seed: int = 0,
-    val: LabeledDataset | None = None,
-    epochs: int | None = None,
+    hp: CnnHyperparams,
+    seed: int,
+    *,
+    val: LabeledDataset,
+    epochs: int = EPOCHS,
 ) -> CnnModel:
-    """Train on ``ds``; when ``val`` is None, split ds 70/10/20 internally.
+    """Train on ``ds`` for ``epochs`` epochs, scoring each one on ``val``.
 
-    Learning rate decays by ``hp.decay_factor`` whenever the best-so-far
-    validation accuracy has not improved for ``hp.patience`` consecutive
-    epochs. Raises :class:`DivergenceError` on a non-finite loss.
+    The learning rate starts at LR0 and decays by DECAY_FACTOR whenever the
+    best-so-far validation accuracy has not improved for PATIENCE consecutive
+    epochs. The model returned holds the weights of the first epoch with the
+    best validation accuracy; its history covers every epoch. Raises
+    :class:`DivergenceError` on a non-finite loss.
     """
-    if val is None:
-        train_ds, val_ds, _ = split(ds, (0.7, 0.1, 0.2), seed=seed, stratified=True)
-    else:
-        train_ds, val_ds = ds, val
-
-    mean = train_ds.rows.mean(axis=0)
-    std = train_ds.rows.std(axis=0)
+    mean = ds.rows.mean(axis=0)
+    std = ds.rows.std(axis=0)
     std[std == 0] = 1.0  # keep width 12: constant columns pass through centered
 
-    model = init_model(hp, seed, class_names=[c.value for c in train_ds.classes])
+    model = init_model(hp, seed, class_names=[c.value for c in ds.classes])
     model.input_mean = mean
     model.input_std = std
 
-    x_train = (train_ds.rows - mean) / std
-    y_train = train_ds.labels
-    x_val = (val_ds.rows - mean) / std
-    y_val = val_ds.labels
+    x_train = (ds.rows - mean) / std
+    y_train = ds.labels
+    x_val = (val.rows - mean) / std
+    y_val = val.labels
 
     params = parameters(model)
     state = AdamState.for_params(params)
     rng = np.random.default_rng(seed + 1)
-    scheduler = PlateauScheduler(hp.lr0, hp.decay_factor, hp.patience)
-    n_epochs = hp.epochs if epochs is None else epochs
+    scheduler = PlateauScheduler(LR0, DECAY_FACTOR, PATIENCE)
+    best = [p.copy() for p in params]
 
-    for _ in range(n_epochs):
+    for _ in range(epochs):
         lr = scheduler.lr
         order = rng.permutation(len(x_train))
         correct = 0
@@ -466,7 +450,11 @@ def train(
         model.history.train_loss.append(sum(losses) / len(x_train))
         model.history.train_acc.append(train_acc)
         model.history.val_acc.append(val_acc)
+        if val_acc > scheduler.best:  # the scheduler's own test for an improvement
+            best = [p.copy() for p in params]
         scheduler.update(val_acc)
+    for p, b in zip(params, best):
+        p[...] = b
     return model
 
 
@@ -508,7 +496,7 @@ def grid_search(
     grids: dict | None = None,
     folds: int = 10,
     seed: int = 0,
-    epochs: int | None = None,
+    epochs: int = EPOCHS,
 ) -> GridSearchResult:
     """Mean CV validation accuracy per combo; ties keep earliest grid order.
 
@@ -516,17 +504,13 @@ def grid_search(
     do not depend on evaluation order. A run's score is its best validation
     accuracy; the combo score is the mean over folds.
     """
-    from .baselines import _fold_assignments
-
     g = {**DEFAULT_GRIDS, **(grids or {})}
     combos = grid_combinations(g)
-    assignments = _fold_assignments(ds, folds, seed)
+    splits = list(cv_folds(ds, folds, seed))
     scores = []
     for combo_idx, hp in enumerate(combos):
         fold_scores = []
-        for fold in range(folds):
-            tr = ds.subset(np.flatnonzero(assignments != fold))
-            va = ds.subset(np.flatnonzero(assignments == fold))
+        for fold, (tr, va) in enumerate(splits):
             run_seed = seed + 7919 * (combo_idx + 1) + fold
             model = train(tr, hp, seed=run_seed, val=va, epochs=epochs)
             fold_scores.append(max(model.history.val_acc))
@@ -546,7 +530,11 @@ def grid_search(
     )
 
 
-CHECKPOINT_VERSION = 2  # v2 dropped the stride hyperparameter; v1 files still load
+CHECKPOINT_VERSION = 3  # v3 dropped the fixed settings and v2 the stride; v1 and v2 still load
+
+# Keys v1/v2 files stored, in the hyperparameters or a conv layer, that now have one value
+_LEGACY_FIXED = {"elu_alpha": 1.0, "lr0": LR0, "decay_factor": DECAY_FACTOR,
+                 "patience": PATIENCE, "depth": DEPTH, "stride": 1}
 
 
 def save_checkpoint(model: CnnModel, path) -> None:
@@ -563,7 +551,6 @@ def save_checkpoint(model: CnnModel, path) -> None:
                 "weights": layer.weights.ravel().tolist(),  # row-major
                 "bias": layer.bias.tolist(),
                 "activation": layer.activation,
-                "elu_alpha": layer.elu_alpha,
             }
             for layer in model.conv_layers
         ],
@@ -580,18 +567,22 @@ def save_checkpoint(model: CnnModel, path) -> None:
 def load_checkpoint(path) -> CnnModel:
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
     hyperparams = payload["hyperparams"]
-    if version == 1 and hyperparams.pop("stride", 1) != 1:
-        raise ValueError("only stride 1 is supported")
+    if version < 3:
+        hyperparams.pop("epochs", None)  # a training-run length, not a model property
+        for fields in [hyperparams, *payload["conv_layers"]]:
+            for key, value in _LEGACY_FIXED.items():
+                got = fields.pop(key, value)
+                if got != value:
+                    raise ValueError(f"checkpoint {key} must be {value}, got {got}")
     hp = CnnHyperparams(**hyperparams)
     layers = [
         ConvLayer(
             weights=np.array(spec["weights"]).reshape(spec["shape"]),
             bias=np.array(spec["bias"]),
             activation=spec["activation"],
-            elu_alpha=spec["elu_alpha"],
         )
         for spec in payload["conv_layers"]
     ]

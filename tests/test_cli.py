@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FIELD_CORRELATIONS
-from vibsense import cli, selection, telemetry
+from vibsense import cli, selection, signalsim, telemetry
 from vibsense.features import FEATURE_COLUMNS
 
 
@@ -319,3 +320,52 @@ def test_out_flag_alone_threads_through_the_pipeline(tmp_path, monkeypatch):
                      "--interval", "0", "--store", str(run / "telemetry.jsonl")]) == 0
     assert cli.main(["report", "--out", str(run)]) == 0
     assert not (elsewhere / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["[]", '{"seed": "7"}', '{"seed": true}', '{"classes": "building"}']
+)
+def test_config_of_the_wrong_shape_is_a_stage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code = cli.main(["--config", str(cfg), "simulate", "--count", "2", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("simulate: ")
+
+
+def test_config_null_leaves_the_setting_unset(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": None, "out": None}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["--config", str(cfg), "simulate", "--count", "8", "--out", str(a)]) == 0
+    assert cli.main(["simulate", "--count", "8", "--out", str(b)]) == 0
+    assert _tree(a) == _tree(b)
+
+
+def test_config_grids_match_the_reduced_grid_flag(corpus_dir, tmp_path):
+    cfg = tmp_path / "run.json"
+    reduced = {"batch_size": [100], "kernel_length": [3], "base_filters": [4, 8],
+               "activation": ["relu", "elu"]}
+    cfg.write_text(json.dumps({"seed": 0, "features": str(corpus_dir / "features.csv"),
+                               "grids": reduced}))
+    via_cfg, via_flag = tmp_path / "via_cfg", tmp_path / "via_flag"
+    base = ["grid-search", "--folds", "2", "--epochs", "1"]
+    assert cli.main(["--config", str(cfg), *base, "--out", str(via_cfg)]) == 0
+    assert cli.main(["--config", str(cfg), *base, "--out", str(via_flag), "--reduced-grid"]) == 0
+    assert _tree(via_cfg) == _tree(via_flag)
+    assert len((via_cfg / "grid_ranking.csv").read_text().strip().splitlines()) == 5
+
+
+def test_config_profiles_override_the_simulated_class(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"profiles": {"building": {"dc_offset": 300.0}}}))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "simulate", "--seed", "4", "--count", "3",
+                     "--classes", "building", "--out", str(out)]) == 0
+    profile = signalsim.DEFAULT_PROFILES[signalsim.StructureClass.BUILDING]
+    profiles = {profile.structure: dataclasses.replace(profile, dc_offset=300.0)}
+    want = signalsim.simulate_corpus(3, profiles, signalsim.FrontEndConfig(), seed=4)
+    got = [signalsim.read_window_csv(p) for p in sorted((out / "windows").iterdir())]
+    assert [w.samples.tolist() for w in got] == [w.samples.tolist() for w in want]
+    default = signalsim.simulate_corpus(3, {profile.structure: profile}, seed=4)
+    assert [w.samples.tolist() for w in got] != [w.samples.tolist() for w in default]

@@ -55,7 +55,6 @@ def test_elu_reference_points():
     assert elu(0.0) == 0.0
     assert elu(2.0) == 2.0
     assert elu(-1.0) == pytest.approx(np.expm1(-1.0), abs=1e-15)
-    assert elu(-1.0, alpha=2.0) == pytest.approx(2.0 * np.expm1(-1.0), abs=1e-15)
     assert isinstance(elu(0.5), float)
     out = elu(np.array([-1.0, 0.0, 3.0]))
     assert isinstance(out, np.ndarray)
@@ -65,33 +64,32 @@ def test_elu_reference_points():
 def test_elu_is_continuous_and_grad_one_at_zero():
     assert abs(elu(-1e-12) - (-1e-12)) < 1e-24
     # the gradient is read from the output array a = elu(z)
-    at_zero, above, below = _elu_grad(elu(np.array([0.0, 1e-9, -1e-9])), 1.0)
+    at_zero, above, below = _elu_grad(elu(np.array([0.0, 1e-9, -1e-9])))
     assert at_zero == 1.0
     assert above == 1.0
     assert below == pytest.approx(1.0, abs=1e-8)
 
 
 ANALYTIC_GRADS = {
-    "relu": lambda z, alpha: (z > 0).astype(float),
-    "elu": lambda z, alpha: np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0))),
-    "tanh": lambda z, alpha: 1.0 / np.cosh(z) ** 2,
-    "sigmoid": lambda z, alpha: np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))) ** 2,
-    "linear": lambda z, alpha: np.ones_like(z),
+    "relu": lambda z: (z > 0).astype(float),
+    "elu": lambda z: np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0))),
+    "tanh": lambda z: 1.0 / np.cosh(z) ** 2,
+    "sigmoid": lambda z: np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))) ** 2,
+    "linear": lambda z: np.ones_like(z),
 }
 
 
 @pytest.mark.parametrize("name", sorted(cnn._ACTIVATIONS))
-@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
-def test_activation_gradient_from_output_matches_analytic(name, alpha):
+def test_activation_gradient_from_output_matches_analytic(name):
     z = np.concatenate([[-30.0, -1e-9, 0.0, 1e-9, 30.0], np.linspace(-6.0, 6.0, 241)])
     act, grad = cnn._ACTIVATIONS[name]
-    a = act(z.copy(), alpha)
-    got = np.asarray(grad(a, alpha), dtype=float)
+    a = act(z.copy())
+    got = np.asarray(grad(a), dtype=float)
     # a = f(z) is rounded to float64, so f'(a) carries an absolute error of a
-    # few ulps of 1 where it cancels (1 - a*a near saturation, a + alpha near -alpha)
-    np.testing.assert_allclose(got, ANALYTIC_GRADS[name](z, alpha),
+    # few ulps of 1 where it cancels (1 - a*a near saturation, a + 1 near -1)
+    np.testing.assert_allclose(got, ANALYTIC_GRADS[name](z),
                                rtol=1e-12, atol=4 * np.finfo(float).eps)
-    if name == "elu" and alpha == 1.0:
+    if name == "elu":
         assert got[2] == 1.0  # z = 0
 
 
@@ -129,9 +127,10 @@ def test_hyperparam_validation():
         CnnHyperparams(base_filters=3)
     with pytest.raises(ValueError):
         CnnHyperparams(activation="gelu")
-    with pytest.raises(ValueError):
-        CnnHyperparams(elu_alpha=0.0)
-    with pytest.raises(TypeError):  # stride-1 convolution is fixed; there is no stride field
+    # fixed settings are module constants, not fields: ELU alpha 1, stride 1
+    with pytest.raises(TypeError):
+        CnnHyperparams(elu_alpha=0.5)
+    with pytest.raises(TypeError):
         CnnHyperparams(stride=2)
 
 
@@ -408,14 +407,29 @@ def test_train_is_deterministic():
 
 def test_train_history_lr_replays_the_scheduler():
     ds = _toy_dataset(n=30, seed=23, n_classes=3)
-    hp = CnnHyperparams(
-        batch_size=50, kernel_length=2, base_filters=4, n_classes=3, patience=3
-    )
+    hp = CnnHyperparams(batch_size=50, kernel_length=2, base_filters=4, n_classes=3)
     model = train(ds, hp, seed=1, val=ds, epochs=40)
-    s = PlateauScheduler(hp.lr0, hp.decay_factor, hp.patience)
+    s = PlateauScheduler(cnn.LR0, cnn.DECAY_FACTOR, cnn.PATIENCE)
     for lr, val_acc in zip(model.history.lr, model.history.val_acc):
         assert lr == s.lr
         s.update(val_acc)
+    assert min(model.history.lr) < cnn.LR0  # the replay covers a decay
+
+
+def test_train_returns_the_first_best_validation_epoch():
+    data = _toy_dataset(n=75, seed=40, n_classes=5)
+    tr, va = data.subset(range(60)), data.subset(range(60, 75))
+    model = train(tr, HP_SMALL, seed=9, val=va, epochs=15)
+    val_acc = model.history.val_acc
+    best_epoch = val_acc.index(max(val_acc))
+    assert val_acc[-1] < val_acc[best_epoch]  # the last epoch is not the best one here
+    assert len(val_acc) == 15
+    x_val = (va.rows - model.input_mean) / model.input_std
+    assert np.mean(forward(model, x_val).argmax(axis=1) == va.labels) == val_acc[best_epoch]
+    # a run that stops at that epoch ends on the same weights
+    stopped = train(tr, HP_SMALL, seed=9, val=va, epochs=best_epoch + 1)
+    for got, want in zip(parameters(model), parameters(stopped)):
+        assert np.array_equal(got, want)
 
 
 def test_train_raises_on_divergence(monkeypatch):
@@ -563,35 +577,82 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded.input_mean, model.input_mean)
 
 
-def _as_v1_checkpoint(path, stride):
-    """Rewrite a checkpoint in format 1, which stored ``stride`` after ``depth``."""
+# Settings formats 1 and 2 stored between ``activation`` and ``n_classes``, at
+# the values they had in every file those versions wrote, except ``epochs``.
+OLD_FORMAT_SETTINGS = dict(
+    elu_alpha=1.0, lr0=0.01, decay_factor=0.8, patience=10, epochs=1000, depth=5
+)
+
+
+def _as_old_checkpoint(path, version, layer_elu_alpha=1.0, **changes):
+    """Rewrite a checkpoint in format 1 or 2: add the old settings, then ``changes``.
+
+    Format 1 also stored ``stride`` after ``depth``; pass it in ``changes``.
+    Both formats stored an ``elu_alpha`` in each conv layer.
+    """
     payload = json.loads(path.read_text())
-    payload["format_version"] = 1
+    payload["format_version"] = version
     hp = payload["hyperparams"]
     n_classes = hp.pop("n_classes")
-    hp.update(stride=stride, n_classes=n_classes)
+    hp.update(OLD_FORMAT_SETTINGS)
+    hp.update(changes, n_classes=n_classes)
+    for layer in payload["conv_layers"]:
+        layer["elu_alpha"] = layer_elu_alpha
     path.write_text(json.dumps(payload))
 
 
-def test_checkpoint_v1_with_stride_1_loads_bit_exactly(tmp_path):
+def _trained_checkpoint(path):
     ds = _toy_dataset(n=20, seed=33)
     hp = CnnHyperparams(batch_size=50, kernel_length=3, base_filters=4, n_classes=2)
     model = train(ds, hp, seed=2, val=ds, epochs=2)
-    path = tmp_path / "model.json"
     save_checkpoint(model, path)
-    _as_v1_checkpoint(path, stride=1)
-    loaded = load_checkpoint(path)
+    return model
+
+
+def _assert_same_model(loaded, model):
     rows = np.random.default_rng(34).normal(size=(16, 12))
     assert np.array_equal(forward(model, rows), forward(loaded, rows))
     assert loaded.hp == model.hp
     assert loaded.history == model.history
 
 
+def test_checkpoint_v1_with_stride_1_loads_bit_exactly(tmp_path):
+    path = tmp_path / "model.json"
+    model = _trained_checkpoint(path)
+    _as_old_checkpoint(path, 1, stride=1)
+    _assert_same_model(load_checkpoint(path), model)
+
+
 def test_checkpoint_v1_with_another_stride_is_rejected(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(init_model(HP_SMALL, seed=35), path)
-    _as_v1_checkpoint(path, stride=2)
+    _as_old_checkpoint(path, 1, stride=2)
     with pytest.raises(ValueError, match="stride"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_v2_loads_bit_exactly_and_ignores_its_epochs(tmp_path):
+    path = tmp_path / "model.json"
+    model = _trained_checkpoint(path)
+    _as_old_checkpoint(path, 2, epochs=3)
+    assert json.loads(path.read_text())["hyperparams"]["lr0"] == 0.01
+    _assert_same_model(load_checkpoint(path), model)
+
+
+@pytest.mark.parametrize(
+    "key, changes",
+    [
+        ("lr0", {"lr0": 0.001}),
+        ("depth", {"depth": 4}),
+        ("patience", {"patience": 3}),
+        ("elu_alpha", {"layer_elu_alpha": 0.5}),
+    ],
+)
+def test_checkpoint_v2_with_another_fixed_setting_is_rejected(tmp_path, key, changes):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model(HP_SMALL, seed=35), path)
+    _as_old_checkpoint(path, 2, **changes)
+    with pytest.raises(ValueError, match=key):
         load_checkpoint(path)
 
 
