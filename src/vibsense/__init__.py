@@ -49,6 +49,7 @@ from .features import (
     FLATNESS_THRESHOLD,
     FeatureVector,
     SpectrumReport,
+    extract_feature_matrix,
     extract_features,
     find_peaks,
     read_feature_csv,

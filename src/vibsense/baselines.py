@@ -140,19 +140,38 @@ def knn_predict(model: KnnModel, query, k: int) -> int:
 def knn_predict_batch(model: KnnModel, queries: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= len(model.train_rows):
         raise ValueError(f"k must be in [1, {len(model.train_rows)}], got {k}")
+    return _majority_votes(_nearest_labels(model, queries, k), [k], model.n_classes)[:, 0]
+
+
+def _nearest_labels(model: KnnModel, queries: np.ndarray, k_max: int) -> np.ndarray:
+    """(queries, k_max) labels of the nearest training rows, nearest first."""
     q = model.normalizer.transform(queries)
     d2 = (
         np.sum(q**2, axis=1)[:, None]
         + np.sum(model.train_rows**2, axis=1)[None, :]
         - 2.0 * q @ model.train_rows.T
     )
-    # stable sort keeps the lower row index first on distance ties
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = model.train_labels[nearest]
-    out = np.empty(len(q), dtype=int)
-    for i, row in enumerate(votes):
-        out[i] = np.bincount(row, minlength=model.n_classes).argmax()
-    return out
+    # The k_max nearest in stable-argsort order (a distance tie puts the lower
+    # row index first) without sorting whole rows: keep the candidates at or
+    # below each row's k_max-th distance (NaN included, as argsort puts it
+    # last) and sort those by (row, distance, index).
+    kth = np.partition(d2, k_max - 1, axis=1)[:, k_max - 1 : k_max]
+    rows, cols = np.nonzero(~(d2 > kth))
+    order = np.lexsort((cols, d2[rows, cols], rows))
+    counts = np.bincount(rows, minlength=len(d2))
+    first = np.cumsum(counts) - counts
+    nearest = cols[order[first[:, None] + np.arange(k_max)]]
+    return model.train_labels[nearest]
+
+
+def _majority_votes(labels: np.ndarray, ks, n_classes: int) -> np.ndarray:
+    """(queries, len(ks)) majority class among the first k labels, for each k.
+
+    Votes accumulate once over the columns; argmax breaks vote ties toward
+    the smallest class index.
+    """
+    votes = np.cumsum(labels[:, :, None] == np.arange(n_classes), axis=1, dtype=np.int32)
+    return votes[:, np.asarray(ks) - 1].argmax(axis=2)
 
 
 def sweep_k(
@@ -161,15 +180,21 @@ def sweep_k(
     folds: int = 10,
     seed: int = 0,
 ) -> tuple[int, dict[int, float]]:
-    """Mean cross-validated accuracy per k; best k breaks ties downward."""
+    """Mean cross-validated accuracy per k; best k breaks ties downward.
+
+    A k larger than a fold's training split scores 0 for that fold.
+    """
     curve = {int(k): 0.0 for k in k_range}
+    if min(curve, default=1) < 1:
+        raise ValueError(f"k must be >= 1, got {min(curve)}")
     for train, val in cv_folds(ds, folds, seed):
         model = knn_fit(train)
-        for k in curve:
-            if k > len(train):
-                continue
-            preds = knn_predict_batch(model, val.rows, k)
-            curve[k] += float(np.mean(preds == val.labels)) / folds
+        ks = [k for k in curve if k <= len(train)]
+        if not ks:
+            continue
+        preds = _majority_votes(_nearest_labels(model, val.rows, max(ks)), ks, model.n_classes)
+        for k, pred in zip(ks, preds.T):
+            curve[k] += float(np.mean(pred == val.labels)) / folds
     best_k = max(curve, key=lambda k: (curve[k], -k))
     return best_k, curve
 

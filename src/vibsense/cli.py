@@ -21,10 +21,10 @@ import numpy as np
 from . import baselines, cnn, heightfit, selection, svgplots, telemetry
 from .errors import VibsenseError
 from .features import (
-    CSV_HEADERS,
     FEATURE_COLUMNS,
     FLATNESS_THRESHOLD,
-    extract_features,
+    FeatureVector,
+    extract_feature_matrix,
     read_feature_csv,
     spectral_profile,
     write_feature_csv,
@@ -75,7 +75,37 @@ class RunConfig:
             if not _is_a(value, hints[key]):
                 want = getattr(hints[key], "__name__", hints[key])
                 raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
+        _check_profiles(data.get("profiles", {}))
+        _check_grids(data.get("grids", {}))
         return cls(**data)
+
+
+_CLASS_NAMES = [c.value for c in StructureClass]
+_PROFILE_FIELDS = [f.name for f in dataclasses.fields(ClassProfile) if f.name != "structure"]
+
+
+def _check_profiles(profiles: dict) -> None:
+    """Each override names a known class and maps known profile fields to numbers."""
+    for name, overrides in profiles.items():
+        where = f"config profiles[{name!r}]"
+        if name not in _CLASS_NAMES:
+            raise ValueError(f"{where}: unknown class; known: {_CLASS_NAMES}")
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{where} must be an object, got {overrides!r}")
+        for key, value in overrides.items():
+            if key not in _PROFILE_FIELDS or not _is_a(value, int | float):
+                raise ValueError(f"{where}[{key!r}] = {value!r}: want a number for one of "
+                                 f"{_PROFILE_FIELDS}")
+
+
+def _check_grids(grids: dict) -> None:
+    """Each axis is one of the paper's grid axes and lists values from its grid."""
+    for axis, values in grids.items():
+        legal = cnn.DEFAULT_GRIDS.get(axis, [None])
+        if not (isinstance(values, list) and values
+                and all(type(v) is type(legal[0]) and v in legal for v in values)):
+            raise ValueError(f"config grids[{axis!r}] = {values!r}: want a non-empty list of "
+                             f"values from {cnn.DEFAULT_GRIDS}")
 
 
 def _is_a(value, hint) -> bool:
@@ -149,13 +179,21 @@ def _window_files(args):
     return files
 
 
+# Windows per extract_feature_matrix call: bounds the memory of a large corpus.
+_EXTRACT_BATCH = 4096
+
+
 def cmd_extract(args) -> int:
     out = _out_dir(args)
-    vectors, labels = [], []
-    for path in _window_files(args):
-        window = read_window_csv(path)
-        vectors.append(extract_features(window))
-        labels.append(window.source.value if window.source else None)
+    windows = [read_window_csv(path) for path in _window_files(args)]
+    batches = {}  # windows of one length stack into one call; a corpus has one length
+    for i, window in enumerate(windows):
+        batches.setdefault((len(window), i // _EXTRACT_BATCH), []).append(i)
+    rows = np.empty((len(windows), len(FEATURE_COLUMNS)))
+    for idx in batches.values():
+        rows[idx] = extract_feature_matrix(np.stack([windows[i].samples for i in idx]))
+    vectors = [FeatureVector.from_array(row) for row in rows]
+    labels = [window.source.value if window.source else None for window in windows]
     target = out / "features.csv"
     write_feature_csv(target, vectors, labels)
     print(f"extract: wrote {len(vectors)} rows to {target}")

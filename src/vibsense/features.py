@@ -86,68 +86,63 @@ class SpectrumReport:
 FLATNESS_THRESHOLD = 10.0
 
 
+def _peak_mask(x: np.ndarray) -> np.ndarray:
+    """Strict local maxima along the last axis, endpoints excluded (length N - 2)."""
+    return (x[..., 1:-1] > x[..., :-2]) & (x[..., 1:-1] > x[..., 2:])
+
+
 def find_peaks(samples) -> list[int]:
     """Indices of strict local maxima (greater than both neighbors).
 
     Endpoints are never peaks; inputs shorter than 3 yield no peaks.
     """
-    x = np.asarray(samples)
-    if len(x) < 3:
-        return []
-    interior = x[1:-1]
-    mask = (interior > x[:-2]) & (interior > x[2:])
-    return list(np.flatnonzero(mask) + 1)
+    return list(np.flatnonzero(_peak_mask(np.asarray(samples))) + 1)
 
 
 def extract_features(window: RawWindow) -> FeatureVector:
-    """Compute the 12 statistics of a window.
+    """The 12 statistics of one window: the one-row case of :func:`extract_feature_matrix`."""
+    return FeatureVector.from_array(extract_feature_matrix(np.reshape(window.samples, (1, -1)))[0])
 
-    Raises
-    ------
-    InsufficientDataError
-        If the window holds fewer than 4 samples.
+
+def extract_feature_matrix(samples) -> np.ndarray:
+    """The 12 statistics of each row of an (n, N) sample array, as (n, 12).
+
+    Columns follow :data:`FEATURE_COLUMNS`. The moments keep the per-window
+    arithmetic (numpy ``centered**3``, Python-float ``m2**1.5``), as other
+    forms change the last bits. Raises InsufficientDataError below 4 samples.
     """
-    x = np.asarray(window.samples, dtype=float)
-    if x.size < 4:
-        raise InsufficientDataError(f"window has {x.size} samples, need >= 4")
-
-    mean = float(np.mean(x))
-    m2 = float(np.mean((x - mean) ** 2))
-    std = float(np.sqrt(m2))
-    x_max = float(np.max(x))
-    x_min = float(np.min(x))
-    rms = float(np.sqrt(np.mean(x * x)))
-
-    peaks = find_peaks(x)
-    avg_peak = float(np.mean(x[peaks])) if peaks else 0.0
-
-    if m2 > 0:
-        centered = x - mean
-        skew = float(np.mean(centered**3)) / m2**1.5
-        kurt = float(np.mean(centered**4)) / m2**2 - 3.0
-    else:
-        skew = 0.0
-        kurt = 0.0
-
-    return FeatureVector(
-        mean=mean,
-        mode=_integer_mode(window.samples),
-        median=float(np.median(x)),
-        std_dev=std,
-        max=x_max,
-        min=x_min,
-        rms=rms,
-        num_peaks=len(peaks),
-        avg_peak_value=avg_peak,
-        skewness=skew,
-        kurtosis=kurt,
-        crest_factor=x_max / rms if rms > 0 else 0.0,
-    )
-
-
-def _integer_mode(samples) -> float:
-    values, counts = np.unique(np.asarray(samples, dtype=np.int64), return_counts=True)
-    return float(values[np.argmax(counts)])  # np.unique sorts, argmax keeps smallest
+    x = np.asarray(samples, dtype=float)
+    n, length = x.shape
+    if length < 4:
+        raise InsufficientDataError(f"window has {length} samples, need >= 4")
+    mean = np.mean(x, axis=1)
+    centered = x - mean[:, None]
+    m2, m3, m4 = (np.mean(centered**p, axis=1) for p in (2, 3, 4))
+    rms = np.sqrt(np.mean(x * x, axis=1))
+    ordered = np.sort(x, axis=1)
+    # mode: the first longest run of one integer in the sorted row (smallest value on ties)
+    ints = ordered.astype(np.int64)
+    run = np.cumsum(np.diff(ints, axis=1, prepend=ints[:, :1] - 1) != 0) - 1
+    run_length = np.bincount(run)[run].reshape(ints.shape)
+    is_peak = _peak_mask(x)
+    num_peaks = is_peak.sum(axis=1)
+    peak_sum = np.where(is_peak, x[:, 1:-1], 0.0).sum(axis=1)
+    var = m2.tolist()  # zero-variance windows take skewness and kurtosis 0
+    columns = {
+        "mean": mean,
+        "mode": ints[np.arange(n), run_length.argmax(axis=1)],
+        "median": ordered[:, (length - 1) // 2 : length // 2 + 1].mean(axis=1),  # as np.median
+        "std_dev": np.sqrt(m2),
+        "max": ordered[:, -1],
+        "min": ordered[:, 0],
+        "rms": rms,
+        "num_peaks": num_peaks,
+        "avg_peak_value": np.divide(peak_sum, num_peaks, out=np.zeros(n), where=num_peaks > 0),
+        "skewness": [a / v**1.5 if v > 0 else 0.0 for a, v in zip(m3.tolist(), var)],
+        "kurtosis": [b / v**2 - 3.0 if v > 0 else 0.0 for b, v in zip(m4.tolist(), var)],
+        "crest_factor": np.divide(ordered[:, -1], rms, out=np.zeros(n), where=rms > 0),
+    }
+    return np.column_stack([columns[name] for name in FEATURE_COLUMNS])
 
 
 def spectral_profile(window: RawWindow) -> SpectrumReport:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .baselines import LabeledDataset
 from .errors import UndefinedCorrelationError
@@ -64,8 +63,11 @@ def p_value(r: float, n: int) -> float:
 
     Uses t = r * sqrt((n - 2) / (1 - r^2)) with n - 2 degrees of freedom;
     the tail mass comes from the regularized incomplete beta function, so
-    extreme thresholds (5e-5 at n ~ 1000) stay accurate.
+    extreme thresholds (5e-5 at n ~ 1000) stay accurate. scipy loads on the
+    first call, so only the commands that select features pay its import.
     """
+    from scipy.special import betainc
+
     if n < 3:
         raise ValueError("need n >= 3")
     if not -1 <= r <= 1:

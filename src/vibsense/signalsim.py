@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -278,33 +279,72 @@ def _orient_from_code(code: str) -> str | None:
     return {"v": ORIENT_VERTICAL, "h": ORIENT_HORIZONTAL, "-": None}[code]
 
 
+# Text of each value in the default 10-bit ADC range; other values go through str().
+_ADC_TEXT = {v: str(v) for v in range(1024)}
+
+
+@lru_cache(maxsize=8)
+def _row_prefixes(n: int) -> tuple[str, ...]:
+    return tuple(f"\n{i}," for i in range(n))
+
+
 def write_window_csv(window: RawWindow, path) -> None:
-    """Persist a window as ``t_index,adc`` CSV with a metadata comment line."""
+    """Persist a window as ``t_index,adc`` CSV with a metadata comment line.
+
+    Each adc cell is ``int(sample)``, so float samples truncate toward zero.
+    """
     cls = window.source.value if window.source is not None else "-"
     floor = str(window.floor_index) if window.floor_index is not None else "-"
-    lines = [
+    samples = np.asarray(window.samples)
+    values = samples.tolist() if samples.dtype.kind in "iu" else list(map(int, samples.tolist()))
+    parts = [""] * (2 * len(values))
+    parts[0::2] = _row_prefixes(len(values))
+    try:
+        parts[1::2] = map(_ADC_TEXT.__getitem__, values)
+    except KeyError:
+        parts[1::2] = map(str, values)
+    Path(path).write_text(
         f"# rate_hz={round(window.sample_rate_hz)} class={cls} "
-        f"floor={floor} orient={_orient_code(window.orientation)}",
-        "t_index,adc",
-    ]
-    lines.extend(f"{i},{int(v)}" for i, v in enumerate(window.samples))
-    Path(path).write_text("\n".join(lines) + "\n")
+        f"floor={floor} orient={_orient_code(window.orientation)}\n"
+        "t_index,adc" + "".join(parts) + "\n"
+    )
 
 
 def read_window_csv(path) -> RawWindow:
-    """Inverse of :func:`write_window_csv`."""
-    text = Path(path).read_text().strip().splitlines()
-    if len(text) < 3 or not text[0].startswith("#"):
+    """Inverse of :func:`write_window_csv`.
+
+    Raises ValueError naming ``path`` for a missing metadata key, a missing
+    or non-integer cell, or a data line that does not hold two cells.
+    """
+    lines = Path(path).read_text().strip().split("\n", 2)
+    if len(lines) < 3 or not lines[0].startswith("#"):
         raise ValueError(f"{path}: not a window CSV")
-    meta = dict(item.split("=", 1) for item in text[0].lstrip("# ").split())
-    samples = np.array([int(line.split(",")[1]) for line in text[2:]], dtype=np.int32)
-    return RawWindow(
-        samples=samples,
-        sample_rate_hz=float(meta["rate_hz"]),
-        source=None if meta["class"] == "-" else StructureClass(meta["class"]),
-        floor_index=None if meta["floor"] == "-" else int(meta["floor"]),
-        orientation=_orient_from_code(meta["orient"]),
-    )
+    head, _, body = lines
+    try:
+        cells = np.fromstring(body.replace("\n", ","), dtype=np.int64, sep=",")
+    except ValueError:
+        raise ValueError(f"{path}: a data cell is missing or not an integer") from None
+    # Each cell is -?[0-9]+: with digits and minus signs gone the body reads
+    # ",\n,\n...,", and no minus sign stands alone (fromstring reads "-" as 0).
+    n_lines = cells.size // 2
+    layout = body.encode().translate(None, b"0123456789-")
+    lone_sign = "-," in body or "-\n" in body or body.endswith("-")
+    if cells.size % 2 or layout != b",\n" * (n_lines - 1) + b"," or lone_sign:
+        raise ValueError(f"{path}: every data line must hold two integer cells, t_index,adc")
+    samples = cells[1::2].astype(np.int32)
+    if not np.array_equal(samples, cells[1::2]):
+        raise ValueError(f"{path}: an adc value is outside the int32 range")
+    meta = dict(item.partition("=")[::2] for item in head.lstrip("# ").split())
+    try:
+        return RawWindow(
+            samples=samples,
+            sample_rate_hz=float(meta["rate_hz"]),
+            source=None if meta["class"] == "-" else StructureClass(meta["class"]),
+            floor_index=None if meta["floor"] == "-" else int(meta["floor"]),
+            orientation=_orient_from_code(meta["orient"]),
+        )
+    except (KeyError, ValueError) as exc:  # a key missing, or a value it cannot hold
+        raise ValueError(f"{path}: bad metadata line {head!r}: {exc!r}") from None
 
 
 def simulate_corpus(

@@ -8,6 +8,8 @@ from vibsense.baselines import (
     LabeledDataset,
     Normalizer,
     _fold_assignments,
+    _nearest_labels,
+    cv_folds,
     evaluate,
     gnb_log_posterior,
     gnb_predict,
@@ -119,6 +121,20 @@ def test_knn_matches_brute_force():
         assert list(got) == want
 
 
+def test_nearest_labels_follow_the_stable_argsort_order():
+    # few distinct rows, so most distances tie; one label per row exposes the order
+    rng = np.random.default_rng(31)
+    rows = rng.integers(0, 3, size=(60, 2)).astype(float)
+    model = knn_fit(_dataset(rows, np.arange(60)))
+    queries = np.vstack([rows[:10], rng.integers(0, 3, size=(10, 2)), [[np.nan, 0.0]]])
+    q = model.normalizer.transform(queries)
+    t = model.train_rows
+    d2 = np.sum(q**2, axis=1)[:, None] + np.sum(t**2, axis=1)[None, :] - 2.0 * q @ t.T
+    want = np.argsort(d2, axis=1, kind="stable")
+    for k in (1, 2, 7, 30, 60):
+        assert np.array_equal(_nearest_labels(model, queries, k), want[:, :k])
+
+
 def test_knn_training_row_recall():
     ds = _random_dataset(60, seed=9)
     model = knn_fit(ds)
@@ -211,6 +227,41 @@ def test_sweep_k_matches_naive_cv():
             ]
             acc += float(np.mean(hits)) / folds
         assert curve[k] == pytest.approx(acc, abs=1e-12)
+
+
+def _per_k_sweep(ds, k_range, folds, seed):
+    """sweep_k's curve with one knn_predict_batch call per fold and k."""
+    curve = {k: 0.0 for k in k_range}
+    for train, val in cv_folds(ds, folds, seed):
+        model = knn_fit(train)
+        for k in curve:
+            if k <= len(train):
+                preds = knn_predict_batch(model, val.rows, k)
+                curve[k] += float(np.mean(preds == val.labels)) / folds
+    return max(curve, key=lambda k: (curve[k], -k)), curve
+
+
+@pytest.mark.parametrize(
+    "name, ds, k_range",
+    [
+        ("blobs", _random_dataset(120, seed=21, spread=1.5), range(1, 31)),
+        # duplicated rows: distance ties resolved by training-row order
+        ("duplicates", _dataset(np.repeat(np.random.default_rng(4).normal(size=(15, 3)), 4, axis=0),
+                                np.random.default_rng(5).integers(0, 5, size=60)), range(1, 31)),
+        # two classes in equal numbers on one point: every even k is a vote tie
+        ("vote ties", _dataset(np.zeros((40, 2)) + np.arange(40)[:, None] % 2 * 1e-3,
+                               np.arange(40) // 2 % 2), range(1, 21)),
+        ("gaps", _random_dataset(80, seed=22, spread=1.0), [30, 2, 7, 3, 19]),
+        ("k beyond train", _random_dataset(30, seed=23), [1, 5, 26, 27, 28, 40]),
+    ],
+)
+def test_sweep_k_equals_the_per_k_sweep_exactly(name, ds, k_range):
+    assert sweep_k(ds, k_range=k_range, folds=5, seed=9) == _per_k_sweep(ds, k_range, 5, 9)
+
+
+def test_sweep_k_rejects_k_below_one():
+    with pytest.raises(ValueError):
+        sweep_k(_random_dataset(20), k_range=[0, 1, 2], folds=2)
 
 
 def test_sweep_k_rejects_single_fold():

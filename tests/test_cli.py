@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import FIELD_CORRELATIONS
-from vibsense import cli, selection, signalsim, telemetry
+from vibsense import cli, features, selection, signalsim, telemetry
 from vibsense.features import FEATURE_COLUMNS
 
 
@@ -63,6 +63,39 @@ def test_extract_without_windows_exits_2(tmp_path, capsys):
     code = cli.main(["extract", "--windows", str(tmp_path / "nowhere"), "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("extract:")
+
+
+@pytest.mark.parametrize(
+    "head, data",
+    [
+        ("# rate_hz=200 class=building floor=- orient=-", "0,5\n1\n2,7\n"),
+        ("# rate_hz=200 class=building orient=-", "0,5\n1,6\n2,7\n"),
+    ],
+    ids=["data line without an adc cell", "header without floor"],
+)
+def test_extract_on_a_malformed_window_exits_2(tmp_path, capsys, head, data):
+    windows = tmp_path / "windows"
+    windows.mkdir()
+    (windows / "win_00000_building.csv").write_text(f"{head}\nt_index,adc\n{data}")
+    code = cli.main(["extract", "--windows", str(windows), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("extract: ") and "win_00000_building.csv" in err
+
+
+def test_extract_stacks_windows_of_each_length(tmp_path):
+    windows = tmp_path / "windows"
+    windows.mkdir()
+    lengths = [40, 64, 40, 5, 64]
+    made = []
+    for i, length in enumerate(lengths):
+        samples = np.random.default_rng(i).integers(0, 1024, size=length).astype(np.int32)
+        made.append(signalsim.RawWindow(samples, 200.0, signalsim.StructureClass.BUILDING))
+        signalsim.write_window_csv(made[-1], windows / f"win_{i:05d}_building.csv")
+    assert cli.main(["extract", "--windows", str(windows), "--out", str(tmp_path)]) == 0
+    vectors, labels = features.read_feature_csv(tmp_path / "features.csv")
+    assert vectors == [features.extract_features(w) for w in made]
+    assert labels == ["building"] * len(lengths)
 
 
 # ------------------------------------------------------------------- select
@@ -369,3 +402,29 @@ def test_config_profiles_override_the_simulated_class(tmp_path):
     assert [w.samples.tolist() for w in got] == [w.samples.tolist() for w in want]
     default = signalsim.simulate_corpus(3, {profile.structure: profile}, seed=4)
     assert [w.samples.tolist() for w in got] != [w.samples.tolist() for w in default]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["simulate", "--count", "2"], {"profiles": {"building": {"bogus": 1}}}),
+        (["simulate", "--count", "2"], {"profiles": {"castle": {"dc_offset": 1.0}}}),
+        (["simulate", "--count", "2"], {"profiles": {"building": 5}}),
+        (["simulate", "--count", "2"], {"profiles": {"building": {"dc_offset": "high"}}}),
+        (["simulate", "--count", "2"], {"profiles": {"building": {"dc_offset": True}}}),
+        (["simulate", "--count", "2"], {"profiles": {"building": {"structure": "flyover"}}}),
+        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": 50}}),
+        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": []}}),
+        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": [60]}}),
+        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": [100.0]}}),
+        (["grid-search", "--epochs", "1"], {"grids": {"kernel_length": [True]}}),
+        (["grid-search", "--epochs", "1"], {"grids": {"activation": ["swish"]}}),
+        (["grid-search", "--epochs", "1"], {"grids": {"depth": [5]}}),
+    ],
+)
+def test_config_with_a_malformed_nested_value_is_a_stage_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main(["--config", str(cfg), *command, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"{command[0]}: config ")

@@ -13,13 +13,20 @@ from vibsense.features import (
     FLATNESS_THRESHOLD,
     LABEL_HEADER,
     FeatureVector,
+    extract_feature_matrix,
     extract_features,
     find_peaks,
     read_feature_csv,
     spectral_profile,
     write_feature_csv,
 )
-from vibsense.signalsim import ClassProfile, RawWindow, StructureClass, synth_window
+from vibsense.signalsim import (
+    ClassProfile,
+    RawWindow,
+    StructureClass,
+    simulate_corpus,
+    synth_window,
+)
 
 
 def _window(samples, rate=200.0):
@@ -109,6 +116,49 @@ def test_matches_naive_reference():
             assert close_rel(getattr(got, name), want[name]), (
                 f"{name}: {getattr(got, name)!r} vs {want[name]!r}"
             )
+
+
+EDGE_WINDOWS = {
+    "constant": [5, 5, 5, 5, 5, 5],  # m2 = 0
+    "all zero": [0] * 7,  # rms = 0
+    "no peaks": [1, 2, 3, 4, 5, 6, 7, 8],
+    "mode tie": [9, 2, 9, 2, 7, 3],  # smallest tied value wins
+    "four samples": [3, 1, 4, 1],
+}
+
+
+def test_feature_matrix_rows_equal_the_one_window_path_bit_for_bit():
+    windows = simulate_corpus(200, seed=17)
+    matrix = extract_feature_matrix(np.stack([w.samples for w in windows]))
+    assert matrix.shape == (200, len(FEATURE_COLUMNS))
+    for row, window in zip(matrix, windows):
+        assert (row == extract_features(window).as_array()).all()
+        want = naive_features(window.samples)
+        assert all(close_rel(got, want[name]) for got, name in zip(row, FEATURE_COLUMNS))
+
+
+@pytest.mark.parametrize("name", list(EDGE_WINDOWS))
+def test_feature_matrix_edge_windows(name):
+    samples = np.array(EDGE_WINDOWS[name], dtype=np.int32)
+    (row,) = extract_feature_matrix(samples[None, :])
+    assert (row == extract_features(_window(samples)).as_array()).all()
+    want = naive_features(samples)
+    for got, column in zip(row, FEATURE_COLUMNS):
+        assert close_rel(got, want[column]), (column, got, want[column])
+
+
+def test_feature_matrix_stacks_edge_windows_of_one_length():
+    rows = [[5] * 6, [0] * 6, [1, 2, 3, 4, 5, 6], [9, 2, 9, 2, 7, 3]]
+    matrix = extract_feature_matrix(np.array(rows))
+    for got, samples in zip(matrix, rows):
+        assert (got == extract_features(_window(samples)).as_array()).all()
+
+
+def test_feature_matrix_needs_four_samples_and_two_axes():
+    with pytest.raises(InsufficientDataError):
+        extract_feature_matrix(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        extract_feature_matrix(np.zeros(8))
 
 
 def test_identity_std_mean_rms():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import vibsense
 from conftest import field_correlation_arrays
 from vibsense.baselines import LabeledDataset
 from vibsense.errors import UndefinedCorrelationError
@@ -92,6 +97,15 @@ def test_p_value_limits():
         p_value(1.5, 50)
     with pytest.raises(ValueError):
         p_value(0.2, 2)
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy costs a fresh process about a third of a second; only p_value needs it
+    code = "import sys, vibsense; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(vibsense.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_p_value_monotone():

@@ -11,6 +11,7 @@ from vibsense.signalsim import (
     BuildingLaw,
     ClassProfile,
     FrontEndConfig,
+    RawWindow,
     StructureClass,
     _apportion,
     building_series,
@@ -226,6 +227,84 @@ def test_window_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_index,adc\n0,1\n")
     with pytest.raises(ValueError):
+        read_window_csv(path)
+
+
+def _line_by_line_csv(window):
+    """The window CSV as a per-line f-string writer lays it out."""
+    lines = [
+        f"# rate_hz={round(window.sample_rate_hz)} class={window.source.value} floor=- orient=-",
+        "t_index,adc",
+    ]
+    lines.extend(f"{i},{int(v)}" for i, v in enumerate(window.samples))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        np.array([0, 1, 1023, 17, 5], dtype=np.int32),
+        np.array([-3, 0, 1024, 70000, -2**31, 2**31 - 1], dtype=np.int32),
+        np.array([0.9, -0.9, 2.5, -2.5, 1023.99, 1e6 + 0.5]),
+        np.array([3, 1, 4], dtype=np.int64),
+    ],
+)
+def test_window_csv_bytes_match_the_line_by_line_layout(tmp_path, samples):
+    window = RawWindow(samples=samples, sample_rate_hz=200.0, source=StructureClass.FLYOVER)
+    path = tmp_path / "w.csv"
+    write_window_csv(window, path)
+    assert path.read_bytes() == _line_by_line_csv(window).encode()
+    assert read_window_csv(path).samples.tolist() == [int(v) for v in samples]
+
+
+def test_window_csv_reads_crlf_line_endings(tmp_path):
+    window = synth_window(DEFAULT_PROFILES[StructureClass.RAILLINE], seed=2)
+    path = tmp_path / "w.csv"
+    write_window_csv(window, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    back = read_window_csv(path)
+    assert np.array_equal(back.samples, window.samples)
+    assert back.source is StructureClass.RAILLINE
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,6\n1\n2,8\n",  # a line without its adc cell
+        "0,6\n1,\n2,8\n",  # an empty adc cell
+        "0,6\n1,x\n2,8\n",  # a non-integer adc cell
+        "0,6\n1,7.5\n2,8\n",
+        "0,6\n1, \n2,8\n",  # a blank adc cell
+        "0,6\n1,-\n2,8\n",  # a sign without digits
+        "0,6\n1,+7\n2,8\n",
+        "0,6\n\n1,7\n",  # a blank line inside the data
+        "0,6\n1,7,9\n2,8\n",  # a third cell
+        "0,6,1\n7\n2,8\n",  # cells that add up but sit on the wrong lines
+        "0,6\n1,99999999999\n",  # an adc value beyond int32
+    ],
+)
+def test_window_csv_rejects_malformed_data_naming_the_file(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text("# rate_hz=200 class=building floor=- orient=-\nt_index,adc\n" + text)
+    with pytest.raises(ValueError, match="bad.csv"):
+        read_window_csv(path)
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        "# rate_hz=200 class=building orient=-",  # no floor
+        "# class=building floor=- orient=-",  # no rate
+        "# rate_hz=200 class=building floor orient=-",  # a key without a value
+        "# rate_hz=fast class=building floor=- orient=-",
+        "# rate_hz=200 class=castle floor=- orient=-",
+        "# rate_hz=200 class=building floor=- orient=sideways",
+    ],
+)
+def test_window_csv_rejects_bad_metadata_naming_the_file(tmp_path, head):
+    path = tmp_path / "bad.csv"
+    path.write_text(head + "\nt_index,adc\n0,6\n1,7\n")
+    with pytest.raises(ValueError, match="bad.csv"):
         read_window_csv(path)
 
 
