@@ -99,7 +99,6 @@ from .telemetry import (
     encode_record,
     node_emulator,
     scan_store,
-    serve,
 )
 
 __version__ = "0.1.0"

@@ -18,12 +18,11 @@ from .signalsim import StructureClass, _apportion
 
 @dataclass
 class LabeledDataset:
-    """Feature rows with integer class labels and optional per-row metadata."""
+    """Feature rows with integer class labels."""
 
     rows: np.ndarray  # (n, n_features) float
     labels: np.ndarray  # (n,) int, indices into classes
     classes: list[StructureClass] = field(default_factory=lambda: list(StructureClass))
-    meta: list[dict] | None = None
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
@@ -38,18 +37,17 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=int)
-        meta = [self.meta[i] for i in idx] if self.meta is not None else None
-        return LabeledDataset(self.rows[idx], self.labels[idx], self.classes, meta)
+        return LabeledDataset(self.rows[idx], self.labels[idx], self.classes)
 
     def select_columns(self, mask) -> "LabeledDataset":
-        return LabeledDataset(self.rows[:, np.asarray(mask)], self.labels, self.classes, self.meta)
+        return LabeledDataset(self.rows[:, np.asarray(mask)], self.labels, self.classes)
 
     @classmethod
-    def from_vectors(cls, vectors: list[FeatureVector], labels: list[StructureClass], meta=None):
+    def from_vectors(cls, vectors: list[FeatureVector], labels: list[StructureClass]):
         rows = np.stack([v.as_array() for v in vectors])
         classes = list(StructureClass)
         idx = np.array([classes.index(lbl) for lbl in labels])
-        return cls(rows, idx, classes, meta)
+        return cls(rows, idx, classes)
 
 
 def split(
@@ -68,32 +66,24 @@ def split(
     ratios = list(ratios)
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    rng = np.random.default_rng(seed)
-
-    if not stratified:
-        order = rng.permutation(len(ds))
-        counts = _apportion(len(ds), ratios)
-        return [ds.subset(np.sort(chunk)) for chunk in _consume(order, counts)]
-
     part_indices: list[list[int]] = [[] for _ in ratios]
-    for cls_idx in np.unique(ds.labels):
-        members = np.flatnonzero(ds.labels == cls_idx)
-        members = members[rng.permutation(len(members))]
+    for members in _shuffled_groups(ds, seed, stratified):
         counts = _apportion(len(members), ratios)
-        if any(c == 0 for c in counts):
-            raise ValueError(
-                f"class index {cls_idx} has too few rows ({len(members)}) to stratify"
-            )
-        for part, chunk in zip(part_indices, _consume(members, counts)):
+        if stratified and 0 in counts:
+            cls_idx = ds.labels[members[0]]
+            raise ValueError(f"class index {cls_idx} has too few rows ({len(members)}) to stratify")
+        for part, chunk in zip(part_indices, np.split(members, np.cumsum(counts)[:-1])):
             part.extend(chunk)
     return [ds.subset(np.sort(part)) for part in part_indices]
 
 
-def _consume(order, counts):
-    pos = 0
-    for c in counts:
-        yield order[pos : pos + c]
-        pos += c
+def _shuffled_groups(ds: LabeledDataset, seed: int, stratified: bool = True) -> list[np.ndarray]:
+    """Row indices of each class in class order, or of all rows as one group,
+    each shuffled; the groups draw in turn from one generator seeded by ``seed``."""
+    rng = np.random.default_rng(seed)
+    groups = ([np.flatnonzero(ds.labels == c) for c in np.unique(ds.labels)]
+              if stratified else [np.arange(len(ds))])
+    return [members[rng.permutation(len(members))] for members in groups]
 
 
 class Normalizer:
@@ -211,11 +201,8 @@ def cv_folds(ds: LabeledDataset, folds: int, seed: int):
 
 def _fold_assignments(ds: LabeledDataset, folds: int, seed: int) -> np.ndarray:
     """Stratified fold index per row, deterministic in seed."""
-    rng = np.random.default_rng(seed)
     assignment = np.empty(len(ds), dtype=int)
-    for cls_idx in np.unique(ds.labels):
-        members = np.flatnonzero(ds.labels == cls_idx)
-        members = members[rng.permutation(len(members))]
+    for members in _shuffled_groups(ds, seed):
         assignment[members] = np.arange(len(members)) % folds
     return assignment
 
@@ -228,12 +215,15 @@ class GnbModel:
     classes: list[StructureClass]
 
 
-def gnb_train(ds: LabeledDataset, var_floor: float = 1e-9) -> GnbModel:
+GNB_VAR_FLOOR = 1e-9  # smallest per-class feature variance: a constant feature stays usable
+
+
+def gnb_train(ds: LabeledDataset) -> GnbModel:
     """Gaussian class-conditional fit with training-frequency priors."""
     n_classes = len(ds.classes)
     n_feat = ds.rows.shape[1]
     mean = np.zeros((n_classes, n_feat))
-    var = np.full((n_classes, n_feat), var_floor)
+    var = np.full((n_classes, n_feat), GNB_VAR_FLOOR)
     counts = np.bincount(ds.labels, minlength=n_classes)
     present = np.flatnonzero(counts)
     if any(0 < counts[c] < 2 for c in present):
@@ -241,7 +231,7 @@ def gnb_train(ds: LabeledDataset, var_floor: float = 1e-9) -> GnbModel:
     for c in present:
         rows = ds.rows[ds.labels == c]
         mean[c] = rows.mean(axis=0)
-        var[c] = np.maximum(rows.var(axis=0), var_floor)
+        var[c] = np.maximum(rows.var(axis=0), GNB_VAR_FLOOR)
     with np.errstate(divide="ignore"):
         log_prior = np.where(counts > 0, np.log(counts / len(ds)), -np.inf)
     return GnbModel(log_prior, mean, var, ds.classes)

@@ -99,13 +99,16 @@ def _check_profiles(profiles: dict) -> None:
 
 
 def _check_grids(grids: dict) -> None:
-    """Each axis is one of the paper's grid axes and lists values from its grid."""
+    """Each axis is a grid axis with a non-empty list; CnnHyperparams judges each value."""
     for axis, values in grids.items():
-        legal = cnn.DEFAULT_GRIDS.get(axis, [None])
-        if not (isinstance(values, list) and values
-                and all(type(v) is type(legal[0]) and v in legal for v in values)):
-            raise ValueError(f"config grids[{axis!r}] = {values!r}: want a non-empty list of "
-                             f"values from {cnn.DEFAULT_GRIDS}")
+        where = f"config grids[{axis!r}] = {values!r}"
+        if axis not in cnn.DEFAULT_GRIDS or not (isinstance(values, list) and values):
+            raise ValueError(f"{where}: want a non-empty list; axes: {list(cnn.DEFAULT_GRIDS)}")
+        for value in values:
+            try:
+                cnn.CnnHyperparams(**{axis: value})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
 
 
 def _is_a(value, hint) -> bool:
@@ -342,12 +345,7 @@ def cmd_train_cnn(args) -> int:
         hp = result.winner
         print(f"train-cnn: reduced grid winner {_hp_str(hp)}")
     else:
-        hp = cnn.CnnHyperparams(
-            batch_size=args.batch_size,
-            kernel_length=args.kernel_length,
-            base_filters=args.base_filters,
-            activation=args.activation,
-        )
+        hp = cnn.CnnHyperparams(**{axis: getattr(args, axis) for axis in cnn.DEFAULT_GRIDS})
 
     train_ds, val_ds, test_ds = baselines.split(
         ds, (0.7, 0.1, 0.2), seed=args.seed, stratified=True
@@ -519,10 +517,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=cnn.EPOCHS)
     p.add_argument("--folds", type=int, default=2)
     p.add_argument("--reduced-grid", action="store_true")
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--kernel-length", type=int, default=3)
-    p.add_argument("--base-filters", type=int, default=32)
-    p.add_argument("--activation", default="elu")
+    paper = cnn.CnnHyperparams()
+    for axis in cnn.DEFAULT_GRIDS:
+        default = getattr(paper, axis)
+        p.add_argument("--" + axis.replace("_", "-"), type=type(default), default=default)
 
     p = command("grid-search", cmd_grid_search, "hyperparameter grid with CV")
     p.add_argument("--features", default=None)

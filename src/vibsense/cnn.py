@@ -33,10 +33,13 @@ import numpy as np
 from .baselines import LabeledDataset, cv_folds
 from .errors import DivergenceError
 
-BATCH_SIZES = (50, 100, 200, 400)
-KERNEL_LENGTHS = (1, 2, 3, 4)
-BASE_FILTERS = (4, 8, 16, 32)
-ACTIVATION_GRID = ("relu", "elu", "tanh", "sigmoid")
+# The paper's grid: the legal values of each CnnHyperparams axis, in grid order.
+DEFAULT_GRIDS = {
+    "batch_size": [50, 100, 200, 400],
+    "kernel_length": [1, 2, 3, 4],
+    "base_filters": [4, 8, 16, 32],
+    "activation": ["relu", "elu", "tanh", "sigmoid"],
+}
 
 INPUT_LEN = 12
 DEPTH = 5  # conv blocks
@@ -106,14 +109,10 @@ class CnnHyperparams:
     n_classes: int = 5
 
     def __post_init__(self):
-        if self.batch_size not in BATCH_SIZES:
-            raise ValueError(f"batch_size must be one of {BATCH_SIZES}")
-        if self.kernel_length not in KERNEL_LENGTHS:
-            raise ValueError(f"kernel_length must be one of {KERNEL_LENGTHS}")
-        if self.base_filters not in BASE_FILTERS:
-            raise ValueError(f"base_filters must be one of {BASE_FILTERS}")
-        if self.activation not in ACTIVATION_GRID:
-            raise ValueError(f"activation must be one of {ACTIVATION_GRID}")
+        for axis, legal in DEFAULT_GRIDS.items():
+            value = getattr(self, axis)
+            if type(value) is not type(legal[0]) or value not in legal:
+                raise ValueError(f"{axis} must be one of {legal}, got {value!r}")
 
     def channel_counts(self) -> list[int]:
         return [2**r * self.base_filters for r in range(DEPTH)]
@@ -360,27 +359,20 @@ def adam_step(
 class PlateauScheduler:
     """Cuts the learning rate when best-so-far validation accuracy stalls.
 
-    After ``patience`` consecutive epochs without a strict improvement the
-    rate becomes ``lr0 * factor**k`` (k = number of cuts so far; computed
-    from lr0 each time, so no drift from repeated multiplication) and the
+    After PATIENCE consecutive epochs without a strict improvement the rate
+    becomes ``LR0 * DECAY_FACTOR**k`` (k = number of cuts so far; computed
+    from LR0 each time, so no drift from repeated multiplication) and the
     stall counter restarts.
     """
 
-    def __init__(self, lr0: float, factor: float, patience: int):
-        if not 0 < factor <= 1:
-            raise ValueError("factor must be in (0, 1]")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.lr0 = lr0
-        self.factor = factor
-        self.patience = patience
+    def __init__(self):
         self.best = -np.inf
         self.stall = 0
         self.n_decays = 0
 
     @property
     def lr(self) -> float:
-        return self.lr0 * self.factor**self.n_decays
+        return LR0 * DECAY_FACTOR**self.n_decays
 
     def update(self, val_acc: float) -> float:
         """Record one epoch's validation accuracy; return the next lr."""
@@ -389,7 +381,7 @@ class PlateauScheduler:
             self.stall = 0
         else:
             self.stall += 1
-            if self.stall >= self.patience:
+            if self.stall >= PATIENCE:
                 self.n_decays += 1
                 self.stall = 0
         return self.lr
@@ -427,7 +419,7 @@ def train(
     params = parameters(model)
     state = AdamState.for_params(params)
     rng = np.random.default_rng(seed + 1)
-    scheduler = PlateauScheduler(LR0, DECAY_FACTOR, PATIENCE)
+    scheduler = PlateauScheduler()
     best = [p.copy() for p in params]
 
     for _ in range(epochs):
@@ -465,14 +457,6 @@ def predict(model: CnnModel, x) -> PredictionResult:
     probs = forward(model, row)[0]
     idx = int(np.argmax(probs))
     return PredictionResult(probabilities=probs, class_index=idx, class_name=model.class_names[idx])
-
-
-DEFAULT_GRIDS = {
-    "batch_size": list(BATCH_SIZES),
-    "kernel_length": list(KERNEL_LENGTHS),
-    "base_filters": list(BASE_FILTERS),
-    "activation": list(ACTIVATION_GRID),
-}
 
 
 def grid_combinations(grids: dict | None = None) -> list[CnnHyperparams]:

@@ -189,7 +189,8 @@ def read_feature_csv(path):
     """Inverse of :func:`write_feature_csv` -> (vectors, labels).
 
     Labels come back as strings; empty cells as None. Raises ValueError on a
-    header that does not match the canonical column order.
+    header that does not match the canonical column order, or naming the line
+    of a cell that is not a number (or, for the peak count, not finite).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -202,6 +203,9 @@ def read_feature_csv(path):
                 continue
             if len(row) != len(CSV_HEADERS) + 1:
                 raise ValueError(f"row with {len(row)} cells in {path}")
-            vectors.append(FeatureVector.from_array([float(c) for c in row[:-1]]))
+            try:
+                vectors.append(FeatureVector.from_array([float(c) for c in row[:-1]]))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
             labels.append(row[-1] or None)
     return vectors, labels

@@ -80,13 +80,11 @@ class HeightAnalysis:
 
 
 def height_analysis(
-    observations: list[FloorObservation],
-    expected_sign: str | None = None,
-    flat_tol: float = FLAT_SLOPE_TOL,
+    observations: list[FloorObservation], expected_sign: str | None = None
 ) -> HeightAnalysis:
     """Fit amplitude vs floor and classify the slope sign."""
     fit = linear_fit([(o.floor_index, o.mean_amplitude) for o in observations])
-    if abs(fit.slope) < flat_tol:
+    if abs(fit.slope) < FLAT_SLOPE_TOL:
         verdict = "flat"
     elif fit.slope > 0:
         verdict = "positive"

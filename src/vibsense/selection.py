@@ -116,12 +116,17 @@ def correlation_csv(report: CorrelationReport) -> str:
 
 
 def read_correlation_csv(text: str) -> CorrelationReport:
-    """Parse a Features/Correlation/Prediction CSV back into a report."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    rows = [ln.split(",") for ln in lines[1:]]
-    return CorrelationReport(
-        features=[row[0] for row in rows],
-        r=np.array([float(row[1]) for row in rows]),
-        p=np.array([float(row[2]) for row in rows]),
-        n=0,
-    )
+    """Parse a Features/Correlation/Prediction CSV into a report; ValueError names a bad line."""
+    lines = [(i, ln.split(",")) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != CORRELATION_CSV_HEADERS:
+        raise ValueError(f"line 1: want the header {','.join(CORRELATION_CSV_HEADERS)}")
+    features, r, p = [], [], []
+    for lineno, row in lines[1:]:
+        try:
+            name, r_cell, p_cell = row
+            r.append(float(r_cell))
+            p.append(float(p_cell))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: want a name and two numbers: {exc}") from None
+        features.append(name)
+    return CorrelationReport(features=features, r=np.array(r), p=np.array(p), n=0)

@@ -271,12 +271,9 @@ REFERENCE_LAWS: dict[str, BuildingLaw] = {
 }
 
 
-def _orient_code(orientation: str | None) -> str:
-    return {ORIENT_VERTICAL: "v", ORIENT_HORIZONTAL: "h", None: "-"}[orientation]
-
-
-def _orient_from_code(code: str) -> str | None:
-    return {"v": ORIENT_VERTICAL, "h": ORIENT_HORIZONTAL, "-": None}[code]
+# Orientation <-> its code in a window CSV's metadata line
+_ORIENT_CODES = {ORIENT_VERTICAL: "v", ORIENT_HORIZONTAL: "h", None: "-"}
+_ORIENT_FROM_CODE = {code: orientation for orientation, code in _ORIENT_CODES.items()}
 
 
 # Text of each value in the default 10-bit ADC range; other values go through str().
@@ -305,7 +302,7 @@ def write_window_csv(window: RawWindow, path) -> None:
         parts[1::2] = map(str, values)
     Path(path).write_text(
         f"# rate_hz={round(window.sample_rate_hz)} class={cls} "
-        f"floor={floor} orient={_orient_code(window.orientation)}\n"
+        f"floor={floor} orient={_ORIENT_CODES[window.orientation]}\n"
         "t_index,adc" + "".join(parts) + "\n"
     )
 
@@ -341,7 +338,7 @@ def read_window_csv(path) -> RawWindow:
             sample_rate_hz=float(meta["rate_hz"]),
             source=None if meta["class"] == "-" else StructureClass(meta["class"]),
             floor_index=None if meta["floor"] == "-" else int(meta["floor"]),
-            orientation=_orient_from_code(meta["orient"]),
+            orientation=_ORIENT_FROM_CODE[meta["orient"]],
         )
     except (KeyError, ValueError) as exc:  # a key missing, or a value it cannot hold
         raise ValueError(f"{path}: bad metadata line {head!r}: {exc!r}") from None

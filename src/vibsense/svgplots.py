@@ -8,13 +8,25 @@ clocks, ids, or dict iteration order beyond insertion order.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
 _FONT = "font-family='monospace' font-size='11'"
 _TITLE_FONT = "font-family='monospace' font-size='13'"
 PALETTE = ("#1f628e", "#d1495b", "#66a182", "#edae49", "#8d6a9f", "#00798c")
+WIDTH, HEIGHT = 640, 400  # line and scatter chart size; a heatmap sizes itself to its cells
+
+
+def _document(width, height, parts) -> str:
+    """A complete SVG document: white background, then ``parts`` one per line."""
+    return "\n".join([
+        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}' "
+        f"viewBox='0 0 {width} {height}'>",
+        f"<rect width='{width}' height='{height}' fill='white'/>",
+        *parts,
+        "</svg>\n",
+    ])
 
 
 def _fmt(x: float) -> str:
@@ -23,9 +35,7 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions on a 1/2/5 ladder covering [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick positions on a 1/2/5 ladder covering [lo, hi], lo < hi."""
     span = hi - lo
     raw = span / max(target, 1)
     mag = 10 ** math.floor(math.log10(raw))
@@ -45,32 +55,26 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 class _Canvas:
     """Maps data coordinates into a margined plot box and collects elements."""
 
-    def __init__(self, width, height, x_range, y_range, margin=(55, 15, 30, 45)):
-        self.width = width
-        self.height = height
+    def __init__(self, x_range, y_range, margin=(55, 15, 30, 45)):
         self.ml, self.mr, self.mt, self.mb = margin
-        self.x_lo, self.x_hi = x_range
+        self.x_lo, self.x_hi = x_range  # both from _pad_range, so hi > lo
         self.y_lo, self.y_hi = y_range
-        if self.x_hi <= self.x_lo:
-            self.x_hi = self.x_lo + 1.0
-        if self.y_hi <= self.y_lo:
-            self.y_hi = self.y_lo + 1.0
         self.parts: list[str] = []
 
     def x(self, v: float) -> float:
         frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
-        return self.ml + frac * (self.width - self.ml - self.mr)
+        return self.ml + frac * (WIDTH - self.ml - self.mr)
 
     def y(self, v: float) -> float:
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return self.height - self.mb - frac * (self.height - self.mt - self.mb)
+        return HEIGHT - self.mb - frac * (HEIGHT - self.mt - self.mb)
 
     def add(self, element: str):
         self.parts.append(element)
 
     def axes(self, x_label: str = "", y_label: str = ""):
-        x0, x1 = self.ml, self.width - self.mr
-        y0, y1 = self.height - self.mb, self.mt
+        x0, x1 = self.ml, WIDTH - self.mr
+        y0, y1 = HEIGHT - self.mb, self.mt
         self.add(
             f"<rect x='{_fmt(x0)}' y='{_fmt(y1)}' width='{_fmt(x1 - x0)}' "
             f"height='{_fmt(y0 - y1)}' fill='none' stroke='#333'/>"
@@ -89,41 +93,37 @@ class _Canvas:
             )
         if x_label:
             self.add(
-                f"<text x='{_fmt((x0 + x1) / 2)}' y='{_fmt(self.height - 6)}' {_FONT} "
-                f"text-anchor='middle'>{escape(x_label)}</text>"
+                f"<text x='{_fmt((x0 + x1) / 2)}' y='{_fmt(HEIGHT - 6)}' {_FONT} "
+                f"text-anchor='middle'>{escape(x_label, quote=False)}</text>"
             )
         if y_label:
             cx, cy = 14, (y0 + y1) / 2
             self.add(
                 f"<text x='{_fmt(cx)}' y='{_fmt(cy)}' {_FONT} text-anchor='middle' "
-                f"transform='rotate(-90 {_fmt(cx)} {_fmt(cy)})'>{escape(y_label)}</text>"
+                f"transform='rotate(-90 {_fmt(cx)} {_fmt(cy)})'>"
+                f"{escape(y_label, quote=False)}</text>"
             )
 
     def title(self, text: str):
         if text:
             self.add(
-                f"<text x='{_fmt(self.width / 2)}' y='16' {_TITLE_FONT} "
-                f"text-anchor='middle'>{escape(text)}</text>"
+                f"<text x='{_fmt(WIDTH / 2)}' y='16' {_TITLE_FONT} "
+                f"text-anchor='middle'>{escape(text, quote=False)}</text>"
             )
 
     def render(self) -> str:
-        body = "\n".join(self.parts)
-        return (
-            f"<svg xmlns='http://www.w3.org/2000/svg' width='{self.width}' "
-            f"height='{self.height}' viewBox='0 0 {self.width} {self.height}'>\n"
-            f"<rect width='{self.width}' height='{self.height}' fill='white'/>\n"
-            f"{body}\n</svg>\n"
-        )
+        return _document(WIDTH, HEIGHT, self.parts)
 
 
 def _pad_range(values) -> tuple[float, float]:
+    """[min, max] widened by 5 % each side, so hi > lo even for one distinct value."""
     lo = float(min(values))
     hi = float(max(values))
     pad = 0.05 * (hi - lo) if hi > lo else max(abs(hi), 1.0) * 0.05
     return lo - pad, hi + pad
 
 
-def line_chart(series, title="", x_label="", y_label="", width=640, height=400) -> str:
+def line_chart(series, title="", x_label="", y_label="") -> str:
     """Polyline chart. ``series`` is a list of (name, xs, ys) triples."""
     if not series:
         raise ValueError("need at least one series")
@@ -131,7 +131,7 @@ def line_chart(series, title="", x_label="", y_label="", width=640, height=400) 
     all_y = [y for _, _, ys in series for y in ys]
     if not all_x:
         raise ValueError("series are empty")
-    canvas = _Canvas(width, height, _pad_range(all_x), _pad_range(all_y))
+    canvas = _Canvas(_pad_range(all_x), _pad_range(all_y))
     canvas.title(title)
     canvas.axes(x_label, y_label)
     for idx, (name, xs, ys) in enumerate(series):
@@ -144,17 +144,15 @@ def line_chart(series, title="", x_label="", y_label="", width=640, height=400) 
             )
         if name:
             ly = canvas.mt + 14 + 14 * idx
-            lx = width - canvas.mr - 8
+            lx = WIDTH - canvas.mr - 8
             canvas.add(
                 f"<text x='{_fmt(lx)}' y='{_fmt(ly)}' {_FONT} text-anchor='end' "
-                f"fill='{color}'>{escape(str(name))}</text>"
+                f"fill='{color}'>{escape(str(name), quote=False)}</text>"
             )
     return canvas.render()
 
 
-def scatter_chart(
-    xs, ys, line=None, title="", x_label="", y_label="", width=640, height=400
-) -> str:
+def scatter_chart(xs, ys, line=None, title="", x_label="", y_label="") -> str:
     """Scatter of (xs, ys) with an optional (slope, intercept) overlay line."""
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
@@ -164,7 +162,7 @@ def scatter_chart(
     if line is not None:
         slope, intercept = line
         y_extent += [slope * min(xs) + intercept, slope * max(xs) + intercept]
-    canvas = _Canvas(width, height, _pad_range(xs), _pad_range(y_extent))
+    canvas = _Canvas(_pad_range(xs), _pad_range(y_extent))
     canvas.title(title)
     canvas.axes(x_label, y_label)
     if line is not None:
@@ -182,7 +180,7 @@ def scatter_chart(
     return canvas.render()
 
 
-def heatmap(matrix, row_labels, col_labels, title="", width=None, height=None) -> str:
+def heatmap(matrix, row_labels, col_labels, title="") -> str:
     """Annotated matrix heatmap (e.g. a confusion matrix)."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -192,31 +190,27 @@ def heatmap(matrix, row_labels, col_labels, title="", width=None, height=None) -
         raise ValueError("label counts must match matrix shape")
     cell = 56
     ml, mt = 130, 60
-    width = width or ml + cell * n_cols + 20
-    height = height or mt + cell * n_rows + 40
+    width = ml + cell * n_cols + 20
+    height = mt + cell * n_rows + 40
     top = m.max() if m.size and m.max() > 0 else 1.0
 
-    parts = [
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}' "
-        f"viewBox='0 0 {width} {height}'>",
-        f"<rect width='{width}' height='{height}' fill='white'/>",
-    ]
+    parts = []
     if title:
         parts.append(
             f"<text x='{_fmt(width / 2)}' y='20' {_TITLE_FONT} "
-            f"text-anchor='middle'>{escape(title)}</text>"
+            f"text-anchor='middle'>{escape(title, quote=False)}</text>"
         )
     for j, label in enumerate(col_labels):
         cx = ml + cell * j + cell / 2
         parts.append(
             f"<text x='{_fmt(cx)}' y='{_fmt(mt - 8)}' {_FONT} text-anchor='middle'>"
-            f"{escape(str(label))}</text>"
+            f"{escape(str(label), quote=False)}</text>"
         )
     for i, label in enumerate(row_labels):
         cy = mt + cell * i + cell / 2 + 4
         parts.append(
             f"<text x='{_fmt(ml - 8)}' y='{_fmt(cy)}' {_FONT} text-anchor='end'>"
-            f"{escape(str(label))}</text>"
+            f"{escape(str(label), quote=False)}</text>"
         )
     for i in range(n_rows):
         for j in range(n_cols):
@@ -235,8 +229,7 @@ def heatmap(matrix, row_labels, col_labels, title="", width=None, height=None) -
                 f"<text x='{_fmt(x0 + cell / 2)}' y='{_fmt(y0 + cell / 2 + 4)}' {_FONT} "
                 f"text-anchor='middle' fill='{text_fill}'>{_fmt(m[i, j])}</text>"
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(width, height, parts)
 
 
 def save_svg(svg: str, path) -> None:

@@ -12,21 +12,21 @@ it as already delivered.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .errors import DeliveryError, SchemaError, StoreError
 from .features import FEATURE_COLUMNS, FeatureVector, extract_features
-from .signalsim import ClassProfile, FrontEndConfig, StructureClass, synth_window
+from .signalsim import ClassProfile, StructureClass, synth_window
 
 # wire order follows the dataset column order; "creast_factor" is the
 # (sic) spelling used throughout the record schema
@@ -35,6 +35,7 @@ WIRE_FEATURE_KEYS = tuple(_WIRE_RENAMES.get(name, name) for name in FEATURE_COLU
 _WIRE_FIELDS = tuple(zip(FEATURE_COLUMNS, WIRE_FEATURE_KEYS))  # (attribute, wire key)
 
 MAX_BODY_BYTES = 64 * 1024  # a POST body above this gets 413; one record is about 440 bytes
+REQUEST_TIMEOUT_S = 10.0  # a connection silent this long mid-request gets 408 or is closed
 STOP_POLL_S = 0.05  # how often a start()ed serve loop checks for stop(); stop() waits up to this
 
 
@@ -50,18 +51,22 @@ class TelemetryRecord:
     def __post_init__(self):
         if not isinstance(self.node_id, str) or not self.node_id:
             raise SchemaError("node_id", "must be a non-empty string")
-        if not _is_int(self.timestamp_ms) or self.timestamp_ms <= 0:
+        if not _is_number(self.timestamp_ms, int) or self.timestamp_ms <= 0:
             raise SchemaError("timestamp_ms", "must be a positive integer")
-        if not _is_int(self.seq) or self.seq < 0:
+        if not _is_number(self.seq, int) or self.seq < 0:
             raise SchemaError("seq", "must be a non-negative integer")
         if not isinstance(self.features, FeatureVector):
             raise SchemaError("features", "must be a FeatureVector")
-        for key, value in zip(WIRE_FEATURE_KEYS, self.features.as_array()):
-            if not math.isfinite(value):
+        for name, key in _WIRE_FIELDS:
+            value = getattr(self.features, name)
+            if not _is_number(value):
+                raise SchemaError(f"features.{key}", "must be a number")
+            if not abs(value) <= sys.float_info.max:  # NaN, infinities and ints past float64
                 raise SchemaError(f"features.{key}", "must be finite")
 
 
 _TOP_LEVEL_KEYS = tuple(f.name for f in fields(TelemetryRecord))
+_REQUIRED_KEYS = tuple(f.name for f in fields(TelemetryRecord) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,9 @@ class NodeStatus:
     record_count: int
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value, kinds=(int, float)) -> bool:
+    """isinstance(value, kinds), except that a bool is not a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def record_wire_dict(record: TelemetryRecord) -> dict:
@@ -98,8 +100,17 @@ def encode_record(record: TelemetryRecord) -> bytes:
     return json.dumps(record_wire_dict(record), separators=(",", ":")).encode("utf-8")
 
 
+def _check_keys(obj: dict, required, allowed, prefix: str = "") -> None:
+    for key in required:
+        if key not in obj:
+            raise SchemaError(prefix + key, "missing")
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError(prefix + key, "unexpected field")
+
+
 def decode_record(raw: bytes | str) -> TelemetryRecord:
-    """Strict inverse of :func:`encode_record`.
+    """Strict inverse of :func:`encode_record`: this checks the structure, the record its values.
 
     Raises
     ------
@@ -119,27 +130,11 @@ def decode_record(raw: bytes | str) -> TelemetryRecord:
     if not isinstance(obj, dict):
         raise SchemaError("body", "top level must be an object")
 
-    for key in ("node_id", "timestamp_ms", "seq", "features"):
-        if key not in obj:
-            raise SchemaError(key, "missing")
-    for key in obj:
-        if key not in _TOP_LEVEL_KEYS:
-            raise SchemaError(key, "unexpected field")
-
+    _check_keys(obj, _REQUIRED_KEYS, _TOP_LEVEL_KEYS)
     features = obj["features"]
     if not isinstance(features, dict):
         raise SchemaError("features", "must be an object")
-    for key in WIRE_FEATURE_KEYS:
-        if key not in features:
-            raise SchemaError(f"features.{key}", "missing")
-        value = features[key]
-        if not _is_number(value):
-            raise SchemaError(f"features.{key}", "must be a number")
-        if not math.isfinite(value):
-            raise SchemaError(f"features.{key}", "must be finite")
-    for key in features:
-        if key not in WIRE_FEATURE_KEYS:
-            raise SchemaError(f"features.{key}", "unexpected field")
+    _check_keys(features, WIRE_FEATURE_KEYS, WIRE_FEATURE_KEYS, "features.")
 
     label = obj.get("label")
     if label is not None:
@@ -288,6 +283,7 @@ class _Handler(BaseHTTPRequestHandler):
     # on a keep-alive connection would stall the body behind the client's
     # delayed ACK (Nagle), about 40 ms per request.
     wbufsize = -1
+    timeout = REQUEST_TIMEOUT_S  # socket timeout: a stalled client cannot hold a thread
 
     def _send(self, status: int, payload: dict):
         body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
@@ -316,7 +312,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True  # the body is left unread
             self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes", "field": "body"})
             return
-        body = self.rfile.read(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True  # the body's end never came
+            self._send(408, {"error": f"body incomplete after {self.timeout} s", "field": "body"})
+            return
         try:
             record = decode_record(body)
         except SchemaError as exc:
@@ -430,11 +431,6 @@ class TelemetryServer:
         self.stop()
 
 
-def serve(store_path, host: str = "127.0.0.1", port: int = 0) -> TelemetryServer:
-    """Start the ingestion service in a background thread and return it."""
-    return TelemetryServer(store_path, host, port).start()
-
-
 def _post_once(url: str, body: bytes, timeout: float) -> int:
     req = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
@@ -453,7 +449,6 @@ def node_emulator(
     count: int = 10,
     seed: int = 0,
     node_id: str | None = None,
-    cfg: FrontEndConfig | None = None,
     site: str | None = None,
     start_seq: int = 0,
     max_retries: int = 8,
@@ -480,7 +475,6 @@ def node_emulator(
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    cfg = cfg if cfg is not None else FrontEndConfig()
     node_id = node_id or f"{profile.structure.value}-node"
     time_fn = time_fn or (lambda: int(time.time() * 1000))
     is_http = isinstance(endpoint, str) and endpoint.startswith(("http://", "https://"))
@@ -494,7 +488,7 @@ def node_emulator(
         if wait > 0:
             time.sleep(wait)
         seq = start_seq + i
-        window = synth_window(profile, cfg, seed=seed * 1_000_003 + seq)
+        window = synth_window(profile, seed=seed * 1_000_003 + seq)
         record = TelemetryRecord(
             node_id=node_id,
             timestamp_ms=time_fn(),

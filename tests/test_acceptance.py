@@ -166,7 +166,7 @@ def test_c05_analytic_gradients_match_finite_differences():
 
 def test_c06_plateau_decay_after_35_stalled_epochs():
     with _Budget(1.0) as budget:
-        scheduler = PlateauScheduler(0.01, 0.8, 10)
+        scheduler = PlateauScheduler()
         for _ in range(35):
             scheduler.update(0.5)  # never improves after the first epoch
         assert scheduler.lr == 0.01 * 0.8**3

@@ -54,10 +54,24 @@ def test_split_sizes_unstratified():
 
 def test_split_partitions_every_row_once():
     ds = _random_dataset(137, seed=3)
-    ds.meta = [{"i": i} for i in range(len(ds))]
-    parts = split(ds, (0.5, 0.3, 0.2), seed=4)
-    seen = [m["i"] for p in parts for m in p.meta]
-    assert sorted(seen) == list(range(137))
+    ds.rows[:, 0] = np.arange(len(ds))  # each row tagged by its index
+    for stratified in (False, True):
+        parts = split(ds, (0.5, 0.3, 0.2), seed=4, stratified=stratified)
+        seen = [int(tag) for p in parts for tag in p.rows[:, 0]]
+        assert sorted(seen) == list(range(137))
+
+
+def test_split_and_folds_draw_the_recorded_rows():
+    ds = _random_dataset(16, n_classes=2, seed=3)
+    ds.rows[:, 0] = np.arange(len(ds))
+    parts = split(ds, (0.5, 0.5), seed=4)
+    assert [p.rows[:, 0].tolist() for p in parts] == [[0, 1, 2, 7, 8, 9, 10, 13],
+                                                      [3, 4, 5, 6, 11, 12, 14, 15]]
+    parts = split(ds, (0.5, 0.5), seed=4, stratified=True)
+    assert [p.rows[:, 0].tolist() for p in parts] == [[0, 1, 2, 3, 4, 6, 9, 10, 11],
+                                                      [5, 7, 8, 12, 13, 14, 15]]
+    assert _fold_assignments(ds, 3, 4).tolist() == [0, 1, 2, 0, 1, 2, 1, 2,
+                                                     1, 0, 2, 0, 0, 0, 2, 1]
 
 
 def test_split_deterministic():

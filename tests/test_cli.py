@@ -133,6 +133,38 @@ def test_select_missing_input_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("select:")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("Features,Correlation value,Prediction value\nMean\n", "line 2"),
+        ("Features,Correlation value,Prediction value\nMean,0.7,x\n", "line 2"),
+        ("Features,Correlation value\nMean,0.7,0.01\n", "line 1"),
+    ],
+    ids=["short row", "cell not a number", "wrong header"],
+)
+def test_select_on_a_malformed_correlation_table_exits_2(tmp_path, capsys, text, where):
+    table = tmp_path / "correlations.csv"
+    table.write_text(text)
+    code = cli.main(["select", "--correlations", str(table), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("select:") and where in err
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "many"])
+def test_a_bad_peak_count_in_features_exits_2(corpus_dir, tmp_path, capsys, cell):
+    lines = (corpus_dir / "features.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    row[FEATURE_COLUMNS.index("num_peaks")] = cell
+    lines[3] = ",".join(row)
+    table = tmp_path / "features.csv"
+    table.write_text("\n".join(lines) + "\n")
+    code = cli.main(["sweep-k", "--features", str(table), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep-k:") and f"{table} line 4" in err
+
+
 # ----------------------------------------------------------- model commands
 
 
@@ -428,3 +460,23 @@ def test_config_with_a_malformed_nested_value_is_a_stage_error(tmp_path, capsys,
     code = cli.main(["--config", str(cfg), *command, "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"{command[0]}: config ")
+
+
+def test_the_pipeline_writes_identical_artifacts_for_a_fixed_seed(tmp_path, capsys):
+    stages = [
+        ["simulate", "--count", "80"], ["extract"], ["spectral-check"], ["select"],
+        ["sweep-k"], ["train-knn"], ["fit-height"],
+        ["train-cnn", "--epochs", "1", "--base-filters", "4"],
+    ]
+    trees, stdouts = [], []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        for stage in stages:
+            seed = [] if stage[0] in ("extract", "spectral-check", "select") else ["--seed", "5"]
+            assert cli.main([*stage, *seed, "--out", str(out)]) == 0, stage
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+        stdouts.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    assert len(trees[0]) == 80 + 17  # the windows and every stage's artifacts
+    assert trees[0] == trees[1]
+    assert stdouts[0] == stdouts[1]

@@ -127,6 +127,10 @@ def test_hyperparam_validation():
         CnnHyperparams(base_filters=3)
     with pytest.raises(ValueError):
         CnnHyperparams(activation="gelu")
+    # a value equal to a grid value but of another type is off the grid too
+    for axis, value in [("batch_size", 100.0), ("kernel_length", True), ("base_filters", 4.0)]:
+        with pytest.raises(ValueError, match=axis):
+            CnnHyperparams(**{axis: value})
     # fixed settings are module constants, not fields: ELU alpha 1, stride 1
     with pytest.raises(TypeError):
         CnnHyperparams(elu_alpha=0.5)
@@ -346,7 +350,8 @@ def test_adam_updates_in_place():
 
 
 def test_plateau_constant_signal_decays_on_schedule():
-    s = PlateauScheduler(0.01, 0.8, 10)
+    assert (cnn.LR0, cnn.DECAY_FACTOR, cnn.PATIENCE) == (0.01, 0.8, 10)
+    s = PlateauScheduler()
     lrs = []
     for _ in range(35):
         lrs.append(s.lr)
@@ -359,25 +364,17 @@ def test_plateau_constant_signal_decays_on_schedule():
 
 
 def test_plateau_improvement_resets_the_stall_counter():
-    s = PlateauScheduler(0.01, 0.8, 3)
+    s = PlateauScheduler()
     for acc in (0.1, 0.2, 0.3, 0.4, 0.5):
         s.update(acc)
-    assert s.lr == 0.01
-    s.update(0.5)  # ties are not improvements
+    assert s.lr == cnn.LR0
+    for _ in range(cnn.PATIENCE - 1):
+        s.update(0.5)  # ties are not improvements
+    assert s.lr == cnn.LR0 and s.stall == cnn.PATIENCE - 1
     s.update(0.5)
-    s.update(0.5)
-    assert s.lr == 0.01 * 0.8
+    assert s.lr == cnn.LR0 * cnn.DECAY_FACTOR
     s.update(0.9)  # fresh best right after a decay
     assert s.stall == 0 and s.n_decays == 1
-
-
-def test_plateau_validation():
-    with pytest.raises(ValueError):
-        PlateauScheduler(0.01, 0.0, 10)
-    with pytest.raises(ValueError):
-        PlateauScheduler(0.01, 1.1, 10)
-    with pytest.raises(ValueError):
-        PlateauScheduler(0.01, 0.8, 0)
 
 
 # -------------------------------------------------------------------- train
@@ -409,7 +406,7 @@ def test_train_history_lr_replays_the_scheduler():
     ds = _toy_dataset(n=30, seed=23, n_classes=3)
     hp = CnnHyperparams(batch_size=50, kernel_length=2, base_filters=4, n_classes=3)
     model = train(ds, hp, seed=1, val=ds, epochs=40)
-    s = PlateauScheduler(cnn.LR0, cnn.DECAY_FACTOR, cnn.PATIENCE)
+    s = PlateauScheduler()
     for lr, val_acc in zip(model.history.lr, model.history.val_acc):
         assert lr == s.lr
         s.update(val_acc)
@@ -653,6 +650,16 @@ def test_checkpoint_v2_with_another_fixed_setting_is_rejected(tmp_path, key, cha
     save_checkpoint(init_model(HP_SMALL, seed=35), path)
     _as_old_checkpoint(path, 2, **changes)
     with pytest.raises(ValueError, match=key):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_an_off_grid_type_is_rejected(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model(HP_SMALL, seed=35), path)
+    payload = json.loads(path.read_text())
+    payload["hyperparams"]["batch_size"] = 100.0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="batch_size"):
         load_checkpoint(path)
 
 

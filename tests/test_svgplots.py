@@ -91,3 +91,63 @@ def test_save_svg(tmp_path):
     svg = line_chart([("s", [0, 1], [1, 0])])
     save_svg(svg, target)
     assert target.read_text() == svg
+
+
+def test_heatmap_exact_document():
+    svg = heatmap([[3, 1], [0, 2]], ["a", "b<"], ["x", "y"], title="T&1")
+    assert svg == (
+        "<svg xmlns='http://www.w3.org/2000/svg' width='262' height='212' viewBox='0 0 262 212'>\n"
+        "<rect width='262' height='212' fill='white'/>\n"
+        "<text x='131' y='20' font-family='monospace' font-size='13' text-anchor='middle'>"
+        "T&amp;1</text>\n"
+        "<text x='158' y='52' font-family='monospace' font-size='11' text-anchor='middle'>x</text>\n"
+        "<text x='214' y='52' font-family='monospace' font-size='11' text-anchor='middle'>y</text>\n"
+        "<text x='122' y='92' font-family='monospace' font-size='11' text-anchor='end'>a</text>\n"
+        "<text x='122' y='148' font-family='monospace' font-size='11' text-anchor='end'>b&lt;</text>\n"
+        "<rect x='130' y='60' width='56' height='56' fill='rgb(51,98,142)' stroke='#999'/>\n"
+        "<text x='158' y='92' font-family='monospace' font-size='11' text-anchor='middle' "
+        "fill='#fff'>3</text>\n"
+        "<rect x='186' y='60' width='56' height='56' fill='rgb(187,203,217)' stroke='#999'/>\n"
+        "<text x='214' y='92' font-family='monospace' font-size='11' text-anchor='middle' "
+        "fill='#111'>1</text>\n"
+        "<rect x='130' y='116' width='56' height='56' fill='rgb(255,255,255)' stroke='#999'/>\n"
+        "<text x='158' y='148' font-family='monospace' font-size='11' text-anchor='middle' "
+        "fill='#111'>0</text>\n"
+        "<rect x='186' y='116' width='56' height='56' fill='rgb(119,150,180)' stroke='#999'/>\n"
+        "<text x='214' y='148' font-family='monospace' font-size='11' text-anchor='middle' "
+        "fill='#fff'>2</text>\n"
+        "</svg>\n"
+    )
+
+
+def test_line_chart_exact_document():
+    svg = line_chart([("s", [1, 2], [0.5, 0.75])], title="k <sweep>", x_label="k", y_label="acc")
+    tick = "font-family='monospace' font-size='11'"
+    assert svg == (
+        "<svg xmlns='http://www.w3.org/2000/svg' width='640' height='400' viewBox='0 0 640 400'>\n"
+        "<rect width='640' height='400' fill='white'/>\n"
+        "<text x='320' y='16' font-family='monospace' font-size='13' text-anchor='middle'>"
+        "k &lt;sweep&gt;</text>\n"
+        "<rect x='55' y='30' width='570' height='325' fill='none' stroke='#333'/>\n"
+        "<line x1='80.9091' y1='355' x2='80.9091' y2='359' stroke='#333'/>\n"
+        f"<text x='80.9091' y='371' {tick} text-anchor='middle'>1</text>\n"
+        "<line x1='340' y1='355' x2='340' y2='359' stroke='#333'/>\n"
+        f"<text x='340' y='371' {tick} text-anchor='middle'>1.5</text>\n"
+        "<line x1='599.091' y1='355' x2='599.091' y2='359' stroke='#333'/>\n"
+        f"<text x='599.091' y='371' {tick} text-anchor='middle'>2</text>\n"
+        "<line x1='51' y1='340.227' x2='55' y2='340.227' stroke='#333'/>\n"
+        f"<text x='48' y='344.227' {tick} text-anchor='end'>0.5</text>\n"
+        "<line x1='51' y1='222.045' x2='55' y2='222.045' stroke='#333'/>\n"
+        f"<text x='48' y='226.045' {tick} text-anchor='end'>0.6</text>\n"
+        "<line x1='51' y1='103.864' x2='55' y2='103.864' stroke='#333'/>\n"
+        f"<text x='48' y='107.864' {tick} text-anchor='end'>0.7</text>\n"
+        f"<text x='340' y='394' {tick} text-anchor='middle'>k</text>\n"
+        f"<text x='14' y='192.5' {tick} text-anchor='middle' "
+        "transform='rotate(-90 14 192.5)'>acc</text>\n"
+        "<polyline points='80.9091,340.227 599.091,44.7727' fill='none' stroke='#1f628e' "
+        "stroke-width='1.5'/>\n"
+        "<circle cx='80.9091' cy='340.227' r='2.5' fill='#1f628e'/>\n"
+        "<circle cx='599.091' cy='44.7727' r='2.5' fill='#1f628e'/>\n"
+        f"<text x='617' y='44' {tick} text-anchor='end' fill='#1f628e'>s</text>\n"
+        "</svg>\n"
+    )

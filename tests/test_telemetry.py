@@ -160,6 +160,15 @@ def _mutated(mutate):
         (lambda o: o["features"].update(mode="x"), "features.mode"),
         (lambda o: o["features"].update(extra=0.0), "features.extra"),
         (lambda o: o.update(features=[1, 2]), "features"),
+        pytest.param(lambda o: o.pop("node_id"), "node_id", id="missing node_id"),
+        pytest.param(lambda o: o.pop("timestamp_ms"), "timestamp_ms", id="missing timestamp_ms"),
+        pytest.param(lambda o: o.update(features=None), "features", id="null features"),
+        pytest.param(lambda o: o["features"].update(median=None), "features.median",
+                     id="null feature"),
+        pytest.param(lambda o: o["features"].update(max=[1.0]), "features.max", id="list feature"),
+        pytest.param(lambda o: o["features"].update(num_peaks=True), "features.num_peaks",
+                     id="bool feature"),
+        pytest.param(lambda o: o.update(label=True), "label", id="bool label"),
     ],
 )
 def test_decode_names_the_offending_field(mutate, field):
@@ -175,6 +184,14 @@ def test_decode_rejects_non_finite_numbers():
     with pytest.raises(SchemaError) as exc_info:
         decode_record(body)
     assert exc_info.value.field == "features.skewness"
+
+
+def test_decode_rejects_an_integer_beyond_float64():
+    obj = record_wire_dict(_record())
+    obj["features"]["num_peaks"] = 10**400
+    with pytest.raises(SchemaError) as exc_info:
+        decode_record(json.dumps(obj).encode())
+    assert exc_info.value.field == "features.num_peaks"
 
 
 def test_record_validation_direct():
@@ -379,6 +396,27 @@ def test_server_oversized_body_gets_413_without_reading_it(tmp_path):
         assert json.loads(body)["field"] == "body"
         assert elapsed < 1.0
         assert _post(srv.url, _record())[0] == 201
+
+
+def test_server_stalled_request_gets_408_or_is_closed(tmp_path, monkeypatch):
+    monkeypatch.setattr(telemetry._Handler, "timeout", 0.3)
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        baseline = threading.active_count()
+        t0 = time.perf_counter()
+        stalled_body = b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"node"
+        status, payload = _raw_request(srv.port, stalled_body)
+        assert status.split()[1] == b"408"
+        assert payload["field"] == "body"
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as sock:
+            sock.sendall(b"POST /ingest HTTP/1.1\r\nHost: x\r\n")  # headers never end
+            assert sock.recv(65536) == b""  # closed without a reply
+        assert time.perf_counter() - t0 < 3.0
+        deadline = time.monotonic() + 5
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline  # no handler thread is held
+        assert _post(srv.url, _record())[0] == 201
+    assert scan_store(tmp_path / "s.jsonl") == [_record()]
 
 
 def test_server_keep_alive_requests_are_not_delayed(tmp_path):
