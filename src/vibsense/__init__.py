@@ -66,7 +66,6 @@ from .heightfit import (
 )
 from .selection import (
     CorrelationReport,
-    SelectionRule,
     correlation_csv,
     correlation_table,
     p_value,
@@ -79,7 +78,6 @@ from .signalsim import (
     REFERENCE_LAWS,
     BuildingLaw,
     ClassProfile,
-    FrontEndConfig,
     RawWindow,
     StructureClass,
     building_series,

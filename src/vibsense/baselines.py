@@ -193,6 +193,9 @@ def cv_folds(ds: LabeledDataset, folds: int, seed: int):
     """Yield the stratified (train, val) pair of each fold, in fold order."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    largest = int(np.bincount(ds.labels).max())
+    if largest < folds:  # rows go round-robin to folds per class, so the last fold would be empty
+        raise ValueError(f"folds={folds} exceeds the largest class size {largest}")
     assignments = _fold_assignments(ds, folds, seed)
     for fold in range(folds):
         in_fold = assignments == fold

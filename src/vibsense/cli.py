@@ -33,7 +33,6 @@ from .signalsim import (
     DEFAULT_PROFILES,
     REFERENCE_LAWS,
     ClassProfile,
-    FrontEndConfig,
     StructureClass,
     building_series,
     read_window_csv,
@@ -165,7 +164,7 @@ def _load_dataset(args) -> baselines.LabeledDataset:
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
     profiles = _profiles_for(args)
-    windows = simulate_corpus(args.count, profiles, FrontEndConfig(), seed=args.seed)
+    windows = simulate_corpus(args.count, profiles, seed=args.seed)
     win_dir = out / "windows"
     win_dir.mkdir(exist_ok=True)
     for i, window in enumerate(windows):
@@ -239,21 +238,23 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _selected_columns(out: Path, ds) -> tuple[np.ndarray, list[str]]:
-    """Column mask from a previous `select` run, else all columns."""
+def _selected_columns(out: Path) -> tuple[np.ndarray, list[str]]:
+    """Column mask and names from a previous `select` run; all columns without one or for []."""
     chosen_path = out / "selected_features.json"
-    if chosen_path.exists():
-        names = json.loads(chosen_path.read_text())
-        mask = np.array([name in names for name in FEATURE_COLUMNS])
-        if mask.any():
-            return mask, names
-    return np.ones(ds.rows.shape[1], dtype=bool), list(FEATURE_COLUMNS)
+    try:
+        names = json.loads(chosen_path.read_text()) if chosen_path.exists() else []
+    except json.JSONDecodeError:
+        names = None  # rejected below, like any content that is not a list of names
+    if not isinstance(names, list) or any(name not in FEATURE_COLUMNS for name in names):
+        raise ValueError(f"{chosen_path}: want a JSON list of names from {list(FEATURE_COLUMNS)}")
+    mask = np.array([not names or name in names for name in FEATURE_COLUMNS])
+    return mask, [name for name, keep in zip(FEATURE_COLUMNS, mask) if keep]
 
 
 def cmd_train_knn(args) -> int:
     out = _out_dir(args)
     ds = _load_dataset(args)
-    mask, names = _selected_columns(out, ds)
+    mask, names = _selected_columns(out)
     ds_sel = ds.select_columns(mask)
     train_ds, _, test_ds = baselines.split(ds_sel, (0.7, 0.1, 0.2), seed=args.seed, stratified=True)
 
@@ -281,7 +282,7 @@ def cmd_train_knn(args) -> int:
 def cmd_sweep_k(args) -> int:
     out = _out_dir(args)
     ds = _load_dataset(args)
-    mask, _ = _selected_columns(out, ds)
+    mask, _ = _selected_columns(out)
     best_k, curve = baselines.sweep_k(ds.select_columns(mask), seed=args.seed)
     lines = ["k,cv_accuracy"] + [f"{k},{curve[k]!r}" for k in sorted(curve)]
     (out / "k_curve.csv").write_text("\n".join(lines) + "\n")
@@ -337,16 +338,7 @@ def _grids_for(args) -> dict | None:
 def cmd_train_cnn(args) -> int:
     out = _out_dir(args)
     ds = _load_dataset(args)
-
-    if args.reduced_grid:
-        result = cnn.grid_search(
-            ds, grids=_grids_for(args), folds=args.folds, seed=args.seed, epochs=args.epochs
-        )
-        hp = result.winner
-        print(f"train-cnn: reduced grid winner {_hp_str(hp)}")
-    else:
-        hp = cnn.CnnHyperparams(**{axis: getattr(args, axis) for axis in cnn.DEFAULT_GRIDS})
-
+    hp = cnn.CnnHyperparams(**{axis: getattr(args, axis) for axis in cnn.DEFAULT_GRIDS})
     train_ds, val_ds, test_ds = baselines.split(
         ds, (0.7, 0.1, 0.2), seed=args.seed, stratified=True
     )
@@ -515,8 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train-cnn", cmd_train_cnn, "train the 1D CNN")
     p.add_argument("--features", default=None)
     p.add_argument("--epochs", type=int, default=cnn.EPOCHS)
-    p.add_argument("--folds", type=int, default=2)
-    p.add_argument("--reduced-grid", action="store_true")
     paper = cnn.CnnHyperparams()
     for axis in cnn.DEFAULT_GRIDS:
         default = getattr(paper, axis)

@@ -246,12 +246,10 @@ def _conv_backward(d_out: np.ndarray, layer: ConvLayer, cache, need_dx: bool):
 
 
 def forward(model: CnnModel, batch: np.ndarray, return_cache: bool = False):
-    """Class probabilities for a batch shaped (n, 12) or (n, 1, 12)."""
+    """Class probabilities for a batch shaped (n, 12)."""
     x = np.asarray(batch, dtype=float)
-    if x.ndim == 2:
-        x = x[:, None, :]
-    if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != model.input_len:
-        raise ValueError(f"expected input shape (n, 1, {model.input_len}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != model.input_len:
+        raise ValueError(f"expected input shape (n, {model.input_len}), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
 

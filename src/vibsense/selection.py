@@ -2,9 +2,9 @@
 
 The label enters as an integer encoding in canonical class order (building 0,
 flyover 1, railline 2, steel overbridge 3, concrete overbridge 4). Selection
-keeps features with |r| >= r_min and p < p_max; the defaults (0.4, 5e-5) pick
-out mean, standard deviation, max, RMS and average-of-peaks on the reference
-correlation table.
+keeps features with |r| >= R_MIN and p < P_MAX, the paper's rule (0.4, 5e-5),
+which picks out mean, standard deviation, max, RMS and average-of-peaks on
+the reference correlation table.
 """
 
 from __future__ import annotations
@@ -19,17 +19,8 @@ from .features import FEATURE_COLUMNS
 
 CORRELATION_CSV_HEADERS = ["Features", "Correlation value", "Prediction value"]
 
-
-@dataclass(frozen=True)
-class SelectionRule:
-    r_min: float = 0.4
-    p_max: float = 0.00005
-
-    def __post_init__(self):
-        if not 0 <= self.r_min <= 1:
-            raise ValueError("r_min must lie in [0, 1]")
-        if not 0 < self.p_max < 1:
-            raise ValueError("p_max must lie in (0, 1)")
+R_MIN = 0.4
+P_MAX = 5e-5
 
 
 @dataclass
@@ -80,17 +71,12 @@ def p_value(r: float, n: int) -> float:
 
 
 def correlation_table(
-    ds: LabeledDataset,
-    encoding: dict | None = None,
-    feature_names: list[str] | None = None,
+    ds: LabeledDataset, feature_names: list[str] | None = None
 ) -> CorrelationReport:
-    """Per-feature r and p against the encoded class label."""
+    """Per-feature r and p against the class index."""
     if len(ds) < 3:
         raise ValueError("need at least 3 samples")
-    if encoding is None:
-        encoded = ds.labels.astype(float)
-    else:
-        encoded = np.array([encoding[ds.classes[i]] for i in ds.labels], dtype=float)
+    encoded = ds.labels.astype(float)
     if np.unique(encoded).size < 2:
         raise UndefinedCorrelationError("correlation undefined for a single-class dataset")
 
@@ -103,9 +89,9 @@ def correlation_table(
     return CorrelationReport(features=list(names), r=r, p=p, n=len(ds))
 
 
-def select_features(report: CorrelationReport, rule: SelectionRule = SelectionRule()) -> np.ndarray:
-    """Boolean mask of features whose |r| >= r_min and p < p_max."""
-    return (np.abs(report.r) >= rule.r_min) & (report.p < rule.p_max)
+def select_features(report: CorrelationReport) -> np.ndarray:
+    """Boolean mask of features whose |r| >= R_MIN and p < P_MAX."""
+    return (np.abs(report.r) >= R_MIN) & (report.p < P_MAX)
 
 
 def correlation_csv(report: CorrelationReport) -> str:

@@ -47,32 +47,14 @@ ORIENT_VERTICAL = "vertical"
 ORIENT_HORIZONTAL = "horizontal"
 
 
-@dataclass(frozen=True)
-class FrontEndConfig:
-    """Amplifier/ADC/sampling parameters of the sensing chain."""
-
-    gain: float = 100.0
-    vref: float = 5.0
-    adc_bits: int = 10
-    sample_rate_hz: float = 200.0
-    window_s: float = 8.0
-
-    def __post_init__(self):
-        if not 1 <= self.adc_bits <= 16:
-            raise ValueError(f"adc_bits must be in [1, 16], got {self.adc_bits}")
-        if self.gain <= 0 or self.sample_rate_hz <= 0 or self.window_s <= 0:
-            raise ValueError("gain, sample_rate_hz and window_s must be positive")
-
-    @property
-    def adc_max(self) -> int:
-        return 2**self.adc_bits - 1
-
-    @property
-    def window_samples(self) -> int:
-        n = round(self.sample_rate_hz * self.window_s)
-        if n < 4:
-            raise ValueError("window must span at least 4 samples")
-        return n
+# The sensing chain, fixed as in the paper: x100 amplifier, 10-bit ADC
+# against a 5 V reference, 200 Hz sampling over 8-second windows.
+GAIN = 100.0
+VREF = 5.0
+ADC_MAX = 1023
+SAMPLE_RATE_HZ = 200.0
+WINDOW_S = 8.0
+WINDOW_SAMPLES = 1600  # SAMPLE_RATE_HZ * WINDOW_S
 
 
 @dataclass(frozen=True)
@@ -129,42 +111,38 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def _quantize(level: np.ndarray, adc_max: int) -> np.ndarray:
+def _quantize(level: np.ndarray) -> np.ndarray:
     counts = _round_half_away(np.asarray(level, dtype=float))
-    return np.clip(counts, 0, adc_max).astype(np.int32)
+    return np.clip(counts, 0, ADC_MAX).astype(np.int32)
 
 
-def front_end(analog, cfg: FrontEndConfig = FrontEndConfig()) -> RawWindow:
+def front_end(analog) -> RawWindow:
     """Push an analog voltage trace through amplifier, ADC and clamping.
 
-    Each sample maps to ``clamp(round(v * gain / vref * adc_max), 0, adc_max)``
+    Each sample maps to ``clamp(round(v * GAIN / VREF * ADC_MAX), 0, ADC_MAX)``
     with round-half-away-from-zero. Length is preserved.
     """
     volts = np.asarray(analog, dtype=float)
     if not np.all(np.isfinite(volts)):
         raise InvalidSignalError("analog input contains non-finite samples")
-    counts = _quantize(volts * cfg.gain / cfg.vref * cfg.adc_max, cfg.adc_max)
-    return RawWindow(samples=counts, sample_rate_hz=cfg.sample_rate_hz)
+    counts = _quantize(volts * GAIN / VREF * ADC_MAX)
+    return RawWindow(samples=counts, sample_rate_hz=SAMPLE_RATE_HZ)
 
 
-def synth_window(
-    profile: ClassProfile,
-    cfg: FrontEndConfig = FrontEndConfig(),
-    seed: int = 0,
-) -> RawWindow:
+def synth_window(profile: ClassProfile, seed: int = 0) -> RawWindow:
     """Generate one labeled window for ``profile``, deterministic in ``seed``.
 
     Signal model: DC pedestal + Gaussian noise + Poisson-arrival impulses
     with exponential decay, then quantized and clamped to the ADC range.
     """
     rng = np.random.default_rng(seed)
-    n = cfg.window_samples
-    t = np.arange(n) / cfg.sample_rate_hz
+    n = WINDOW_SAMPLES
+    t = np.arange(n) / SAMPLE_RATE_HZ
 
     level = profile.dc_offset + rng.normal(0.0, profile.base_noise_rms or 0.0, n)
-    n_events = rng.poisson(profile.impulse_rate * cfg.window_s)
+    n_events = rng.poisson(profile.impulse_rate * WINDOW_S)
     if n_events:
-        starts = rng.uniform(0.0, cfg.window_s, n_events)
+        starts = rng.uniform(0.0, WINDOW_S, n_events)
         amps = rng.normal(
             profile.impulse_amplitude_mean, profile.impulse_amplitude_sd, n_events
         )
@@ -177,9 +155,7 @@ def synth_window(
             level[i0:] += amp * np.exp(-np.minimum(decay, 50.0))
 
     return RawWindow(
-        samples=_quantize(level, cfg.adc_max),
-        sample_rate_hz=cfg.sample_rate_hz,
-        source=profile.structure,
+        samples=_quantize(level), sample_rate_hz=SAMPLE_RATE_HZ, source=profile.structure
     )
 
 
@@ -187,23 +163,19 @@ def building_series(
     law: BuildingLaw,
     floor_index: int,
     noise_sd: float = 0.0,
-    cfg: FrontEndConfig = FrontEndConfig(),
     seed: int = 0,
 ) -> RawWindow:
     """Window whose expected mean equals ``law.slope * floor + law.intercept``."""
     if floor_index < 0:
         raise ValueError("floor_index must be >= 0")
     expected = law.slope * floor_index + law.intercept
-    if not 0 <= expected <= cfg.adc_max:
-        raise ProfileRangeError(
-            f"expected mean {expected:.2f} outside ADC range [0, {cfg.adc_max}]"
-        )
+    if not 0 <= expected <= ADC_MAX:
+        raise ProfileRangeError(f"expected mean {expected:.2f} outside ADC range [0, {ADC_MAX}]")
     rng = np.random.default_rng(seed)
-    n = cfg.window_samples
-    level = expected + (rng.normal(0.0, noise_sd, n) if noise_sd > 0 else 0.0)
+    level = expected + (rng.normal(0.0, noise_sd, WINDOW_SAMPLES) if noise_sd > 0 else 0.0)
     return RawWindow(
-        samples=_quantize(level, cfg.adc_max),
-        sample_rate_hz=cfg.sample_rate_hz,
+        samples=_quantize(level),
+        sample_rate_hz=SAMPLE_RATE_HZ,
         floor_index=floor_index,
         orientation=law.orientation,
     )
@@ -276,8 +248,8 @@ _ORIENT_CODES = {ORIENT_VERTICAL: "v", ORIENT_HORIZONTAL: "h", None: "-"}
 _ORIENT_FROM_CODE = {code: orientation for orientation, code in _ORIENT_CODES.items()}
 
 
-# Text of each value in the default 10-bit ADC range; other values go through str().
-_ADC_TEXT = {v: str(v) for v in range(1024)}
+# Text of each value in the ADC range; other values go through str().
+_ADC_TEXT = {v: str(v) for v in range(ADC_MAX + 1)}
 
 
 @lru_cache(maxsize=8)
@@ -347,7 +319,6 @@ def read_window_csv(path) -> RawWindow:
 def simulate_corpus(
     count: int = 1159,
     profiles: dict[StructureClass, ClassProfile] | None = None,
-    cfg: FrontEndConfig = FrontEndConfig(),
     seed: int = 0,
 ) -> list[RawWindow]:
     """Generate a labeled corpus of ``count`` windows across the five classes.
@@ -362,7 +333,7 @@ def simulate_corpus(
     k = 0
     for cls, n_cls in zip(classes, shares):
         for _ in range(n_cls):
-            windows.append(synth_window(profiles[cls], cfg, seed=seed * 1_000_003 + k))
+            windows.append(synth_window(profiles[cls], seed=seed * 1_000_003 + k))
             k += 1
     return windows
 

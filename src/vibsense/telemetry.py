@@ -37,6 +37,11 @@ _WIRE_FIELDS = tuple(zip(FEATURE_COLUMNS, WIRE_FEATURE_KEYS))  # (attribute, wir
 MAX_BODY_BYTES = 64 * 1024  # a POST body above this gets 413; one record is about 440 bytes
 REQUEST_TIMEOUT_S = 10.0  # a connection silent this long mid-request gets 408 or is closed
 STOP_POLL_S = 0.05  # how often a start()ed serve loop checks for stop(); stop() waits up to this
+# node_emulator's delivery policy: a failed record is retried up to MAX_RETRIES
+# times, retry k (from 0) after BACKOFF_S * 2**k s; each POST waits POST_TIMEOUT_S.
+MAX_RETRIES = 8
+BACKOFF_S = 0.05
+POST_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,7 @@ class StoreIndex:
     def add(self, record: TelemetryRecord) -> None:
         node = record.node_id
         self.records.append(record)
-        self.max_seq[node] = record.seq
+        self.max_seq[node] = max(self.max_seq.get(node, -1), record.seq)
         self.counts[node] = self.counts.get(node, 0) + 1
         self.last_seen[node] = max(self.last_seen.get(node, 0), record.timestamp_ms)
 
@@ -451,9 +456,6 @@ def node_emulator(
     node_id: str | None = None,
     site: str | None = None,
     start_seq: int = 0,
-    max_retries: int = 8,
-    backoff_s: float = 0.05,
-    timeout_s: float = 10.0,
     time_fn=None,
 ) -> list[TelemetryRecord]:
     """Synthesize, featurize, and deliver one record per tick.
@@ -469,7 +471,7 @@ def node_emulator(
     Raises
     ------
     DeliveryError
-        After ``max_retries`` consecutive failures for one record, or on a
+        After ``MAX_RETRIES`` consecutive failures for one record, or on a
         400 (schema bug, retrying cannot help). ``delivered`` carries the
         number of records acknowledged before the abort.
     """
@@ -501,21 +503,21 @@ def node_emulator(
             append_store(endpoint, record)
         else:
             body = encode_record(record)
-            for attempt in range(max_retries + 1):
+            for attempt in range(MAX_RETRIES + 1):
                 try:
-                    status = _post_once(url, body, timeout_s)
+                    status = _post_once(url, body, POST_TIMEOUT_S)
                 except (urllib.error.URLError, OSError):
                     status = None  # transport failure
                 if status in (201, 409):
                     break
                 if status == 400:
                     raise DeliveryError(len(sent), f"server rejected seq {seq} with 400")
-                if attempt == max_retries:
+                if attempt == MAX_RETRIES:
                     raise DeliveryError(
                         len(sent),
-                        f"giving up on seq {seq} after {max_retries} retries "
+                        f"giving up on seq {seq} after {MAX_RETRIES} retries "
                         f"(last status {status})",
                     )
-                time.sleep(backoff_s * 2**attempt)
+                time.sleep(BACKOFF_S * 2**attempt)
         sent.append(record)
     return sent

@@ -82,7 +82,8 @@ def test_c02_selection_rule_picks_the_field_five():
         r = np.array([FIELD_CORRELATIONS[n][0] for n in FEATURE_COLUMNS])
         p = np.array([FIELD_CORRELATIONS[n][1] for n in FEATURE_COLUMNS])
         report = selection.CorrelationReport(list(FEATURE_COLUMNS), r, p, n=212)
-        mask = selection.select_features(report, selection.SelectionRule(0.4, 5e-5))
+        assert selection.R_MIN == 0.4 and selection.P_MAX == 5e-5
+        mask = selection.select_features(report)
         chosen = {n for n, keep in zip(report.features, mask) if keep}
         assert chosen == {"mean", "std_dev", "max", "rms", "avg_peak_value"}
     print(f"\n[2] rule (r>=0.4, p<5e-5) on the field correlation table keeps "

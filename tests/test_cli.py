@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -165,6 +166,46 @@ def test_a_bad_peak_count_in_features_exits_2(corpus_dir, tmp_path, capsys, cell
     assert err.startswith("sweep-k:") and f"{table} line 4" in err
 
 
+@pytest.mark.parametrize("command", ["sweep-k", "train-knn"])
+@pytest.mark.parametrize(
+    "text",
+    ["5", '"rms"', '["rms", "mean", "bogus"]', '["bogus"]', "[rms]"],
+    ids=["a number", "a string", "an unknown name among known ones", "only unknown names",
+         "not JSON"],
+)
+def test_a_malformed_feature_selection_exits_2(corpus_dir, tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    chosen = out / "selected_features.json"
+    chosen.write_text(text)
+    code = cli.main([command, "--features", str(corpus_dir / "features.csv"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}:") and str(chosen) in err
+
+
+@pytest.mark.parametrize(
+    "text, used", [('["rms", "mean"]', ["mean", "rms"]), ("[]", FEATURE_COLUMNS)]
+)
+def test_train_knn_prints_the_columns_it_uses(corpus_dir, tmp_path, capsys, text, used):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "selected_features.json").write_text(text)
+    assert cli.main(["train-knn", "--features", str(corpus_dir / "features.csv"),
+                     "--out", str(out)]) == 0
+    assert f"train-knn: features={used} " in capsys.readouterr().out
+
+
+def test_train_knn_on_too_few_rows_per_class_names_the_folds(tmp_path, capsys):
+    # 60 windows leave 8 training rows per class for sweep_k's 10 folds
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--count", "60", "--out", str(out)]) == 0
+    assert cli.main(["extract", "--out", str(out)]) == 0
+    assert cli.main(["train-knn", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"train-knn: folds=10 exceeds the largest class size [0-9]\n", err), err
+
+
 # ----------------------------------------------------------- model commands
 
 
@@ -176,7 +217,7 @@ def test_full_pipeline_smoke(corpus_dir, capsys):
     assert cli.main(
         [
             "train-cnn", "--seed", "0", "--features", features, "--out", out,
-            "--reduced-grid", "--epochs", "3", "--folds", "2",
+            "--epochs", "3", "--base-filters", "4",
         ]
     ) == 0
     captured = capsys.readouterr().out
@@ -429,7 +470,7 @@ def test_config_profiles_override_the_simulated_class(tmp_path):
                      "--classes", "building", "--out", str(out)]) == 0
     profile = signalsim.DEFAULT_PROFILES[signalsim.StructureClass.BUILDING]
     profiles = {profile.structure: dataclasses.replace(profile, dc_offset=300.0)}
-    want = signalsim.simulate_corpus(3, profiles, signalsim.FrontEndConfig(), seed=4)
+    want = signalsim.simulate_corpus(3, profiles, seed=4)
     got = [signalsim.read_window_csv(p) for p in sorted((out / "windows").iterdir())]
     assert [w.samples.tolist() for w in got] == [w.samples.tolist() for w in want]
     default = signalsim.simulate_corpus(3, {profile.structure: profile}, seed=4)

@@ -207,18 +207,14 @@ def test_forward_identity_kernel_reduces_to_row_mean():
     assert np.allclose(probs, 0.2, atol=1e-12)
 
 
-def test_forward_accepts_both_input_ranks():
-    model = init_model(HP_SMALL, seed=3)
-    x = np.random.default_rng(4).normal(size=(5, 12))
-    assert np.array_equal(forward(model, x), forward(model, x[:, None, :]))
-
-
 def test_forward_input_validation():
     model = init_model(HP_SMALL, seed=3)
     with pytest.raises(ValueError):
         forward(model, np.zeros((2, 11)))
     with pytest.raises(ValueError):
         forward(model, np.zeros((2, 3, 12)))
+    with pytest.raises(ValueError, match=r"\(n, 12\)"):
+        forward(model, np.zeros((2, 1, 12)))
     bad = np.zeros((2, 12))
     bad[1, 4] = np.nan
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from vibsense.features import FEATURE_COLUMNS
 from vibsense.selection import (
     CORRELATION_CSV_HEADERS,
     CorrelationReport,
-    SelectionRule,
     correlation_csv,
     correlation_table,
     p_value,
@@ -24,7 +23,6 @@ from vibsense.selection import (
     read_correlation_csv,
     select_features,
 )
-from vibsense.signalsim import StructureClass
 
 
 def field_report() -> CorrelationReport:
@@ -164,33 +162,6 @@ def test_select_zero_correlations_empty():
     assert not select_features(report).any()
 
 
-def test_select_vacuous_rule_keeps_all():
-    mask = select_features(field_report(), SelectionRule(r_min=0.0, p_max=0.999999))
-    assert mask.all()
-
-
-def test_select_monotone_in_rule():
-    rng = np.random.default_rng(4)
-    report = CorrelationReport(
-        [f"f{i}" for i in range(20)],
-        rng.uniform(-1, 1, 20),
-        rng.uniform(0, 1, 20),
-        500,
-    )
-    tight = select_features(report, SelectionRule(0.6, 0.01))
-    loose = select_features(report, SelectionRule(0.3, 0.2))
-    assert np.all(loose[tight])  # everything kept by the tight rule survives
-
-
-def test_selection_rule_validation():
-    with pytest.raises(ValueError):
-        SelectionRule(r_min=-0.1)
-    with pytest.raises(ValueError):
-        SelectionRule(p_max=0.0)
-    with pytest.raises(ValueError):
-        SelectionRule(p_max=1.0)
-
-
 # ---------------------------------------------------------- correlation_table
 
 
@@ -229,16 +200,6 @@ def test_correlation_table_shuffled_labels_center_zero():
         report = correlation_table(_dataset(rows, labels[perm]))
         rs.append(report.r[0])
     assert abs(float(np.mean(rs))) < 0.02
-
-
-def test_correlation_table_custom_encoding_flips_sign():
-    rng = np.random.default_rng(3)
-    labels = np.repeat(np.arange(5), 30)
-    rows = (labels.astype(float) + rng.normal(0, 0.5, 150)).reshape(-1, 1)
-    ds = _dataset(rows, labels)
-    fwd = correlation_table(ds)
-    rev = correlation_table(ds, encoding={c: -c.index for c in StructureClass})
-    assert rev.r[0] == pytest.approx(-fwd.r[0], abs=1e-12)
 
 
 def test_correlation_table_errors():

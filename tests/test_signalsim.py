@@ -4,14 +4,17 @@ import pytest
 from conftest import FIELD_SAMPLE_ROWS
 from vibsense.errors import InvalidSignalError, ProfileRangeError
 from vibsense.signalsim import (
+    ADC_MAX,
     DEFAULT_PROFILES,
     ORIENT_HORIZONTAL,
     ORIENT_VERTICAL,
     REFERENCE_LAWS,
     BuildingLaw,
     ClassProfile,
-    FrontEndConfig,
     RawWindow,
+    SAMPLE_RATE_HZ,
+    WINDOW_S,
+    WINDOW_SAMPLES,
     StructureClass,
     _apportion,
     building_series,
@@ -21,8 +24,6 @@ from vibsense.signalsim import (
     synth_window,
     write_window_csv,
 )
-
-CFG = FrontEndConfig()
 
 
 # ------------------------------------------------------------------ front end
@@ -67,18 +68,9 @@ def test_front_end_monotone():
         assert np.all(out_a <= out_b)
 
 
-def test_front_end_custom_bits():
-    out = front_end(np.full(4, 0.05), FrontEndConfig(adc_bits=8))
-    assert np.all(out.samples == 255)
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FrontEndConfig(adc_bits=0)
-    with pytest.raises(ValueError):
-        FrontEndConfig(gain=0)
-    assert CFG.adc_max == 1023
-    assert CFG.window_samples == 1600
+    assert ADC_MAX == 2**10 - 1
+    assert WINDOW_SAMPLES == round(SAMPLE_RATE_HZ * WINDOW_S) == 1600
 
 
 # ---------------------------------------------------------------- synthesis
@@ -121,8 +113,7 @@ def test_synth_fuzz_stays_in_adc_range():
             impulse_decay_tau=float(rng.uniform(0.01, 1.0)),
             dc_offset=float(rng.uniform(0, 1200)),
         )
-        cfg = FrontEndConfig(window_s=0.1)  # 20 samples is plenty for range checks
-        s = synth_window(profile, cfg, seed=k).samples
+        s = synth_window(profile, seed=k).samples
         assert s.min() >= 0 and s.max() <= 1023
         assert np.issubdtype(s.dtype, np.integer)
 

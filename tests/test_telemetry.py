@@ -498,6 +498,19 @@ def test_server_restart_keeps_dedup_state(tmp_path):
     assert [r.seq for r in scan_store(path)] == list(range(6))
 
 
+def test_server_dedups_against_the_largest_seq_of_a_store_out_of_order(tmp_path):
+    # a dry-run sink appends without dedup, so a rerun leaves seqs 0-9 then 0-4
+    path = tmp_path / "store.jsonl"
+    for count in (10, 5):
+        for seq in range(count):
+            append_store(path, _record(seq=seq, seed=seq))
+    with TelemetryServer(path) as srv:
+        assert srv.state.index.max_seq == {"node-a": 9}
+        status, payload = _post(srv.url, _record(seq=7, seed=7))
+        assert status == 409 and payload["max_seq"] == 9
+    assert len(scan_store(path)) == 15
+
+
 def test_server_concurrent_posts(tmp_path):
     path = tmp_path / "store.jsonl"
     with TelemetryServer(path) as srv:
@@ -586,17 +599,17 @@ def test_emulator_rejected_schema_aborts_without_retry(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_emulator_gives_up_after_retries(tmp_path):
+def test_emulator_gives_up_after_retries(monkeypatch):
     # bind-then-close to get a port with nothing listening
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
+    monkeypatch.setattr(telemetry, "MAX_RETRIES", 1)
+    monkeypatch.setattr(telemetry, "BACKOFF_S", 0.001)
+    monkeypatch.setattr(telemetry, "POST_TIMEOUT_S", 0.5)
     profile = DEFAULT_PROFILES[StructureClass.BUILDING]
-    with pytest.raises(DeliveryError, match="giving up") as exc_info:
-        node_emulator(
-            profile, f"http://127.0.0.1:{port}/", interval_s=0.0, count=2,
-            seed=0, max_retries=1, backoff_s=0.001, timeout_s=0.5,
-        )
+    with pytest.raises(DeliveryError, match="giving up on seq 0 after 1 retries") as exc_info:
+        node_emulator(profile, f"http://127.0.0.1:{port}/", interval_s=0.0, count=2, seed=0)
     assert exc_info.value.delivered == 0
 
 
@@ -610,11 +623,9 @@ def test_emulator_transient_failure_is_retried(monkeypatch):
         return 201
 
     monkeypatch.setattr(telemetry, "_post_once", flaky)
+    monkeypatch.setattr(telemetry, "BACKOFF_S", 0.001)
     profile = DEFAULT_PROFILES[StructureClass.BUILDING]
-    sent = node_emulator(
-        profile, "http://127.0.0.1:1/", interval_s=0.0, count=2,
-        seed=0, backoff_s=0.001,
-    )
+    sent = node_emulator(profile, "http://127.0.0.1:1/", interval_s=0.0, count=2, seed=0)
     assert len(sent) == 2
     assert calls["n"] == 3  # one retry for the first record, clean second
 
