@@ -27,6 +27,7 @@ from .features import (
     extract_feature_matrix,
     read_feature_csv,
     spectral_profile,
+    table_text,
     write_feature_csv,
 )
 from .signalsim import (
@@ -204,21 +205,15 @@ def cmd_extract(args) -> int:
 
 def cmd_spectral_check(args) -> int:
     out = _out_dir(args)
-    lines = ["file,dominant_bin,dominance_ratio,flat"]
-    n_flat = 0
-    total = 0
+    rows = []
     for path in _window_files(args):
         report = spectral_profile(read_window_csv(path))
-        flat = report.dominance_ratio < FLATNESS_THRESHOLD
-        n_flat += flat
-        total += 1
-        lines.append(
-            f"{path.name},{report.dominant_bin},{report.dominance_ratio!r},{int(flat)}"
-        )
+        flat = int(report.dominance_ratio < FLATNESS_THRESHOLD)
+        rows.append([path.name, report.dominant_bin, report.dominance_ratio, flat])
     target = out / "spectral_report.csv"
-    target.write_text("\n".join(lines) + "\n")
+    target.write_text(table_text(["file", "dominant_bin", "dominance_ratio", "flat"], rows))
     print(
-        f"spectral-check: {n_flat}/{total} windows below dominance ratio "
+        f"spectral-check: {sum(row[-1] for row in rows)}/{len(rows)} windows below dominance ratio "
         f"{FLATNESS_THRESHOLD:g}; report at {target}"
     )
     return 0
@@ -284,8 +279,7 @@ def cmd_sweep_k(args) -> int:
     ds = _load_dataset(args)
     mask, _ = _selected_columns(out)
     best_k, curve = baselines.sweep_k(ds.select_columns(mask), seed=args.seed)
-    lines = ["k,cv_accuracy"] + [f"{k},{curve[k]!r}" for k in sorted(curve)]
-    (out / "k_curve.csv").write_text("\n".join(lines) + "\n")
+    (out / "k_curve.csv").write_text(table_text(["k", "cv_accuracy"], sorted(curve.items())))
     _save_k_curve(curve, out / "k_curve.svg")
     print(f"sweep-k: best_k={best_k}")
     return 0
@@ -305,23 +299,18 @@ def _save_k_curve(curve: dict[int, float], path) -> None:
 
 
 def _write_metrics(path, metrics: baselines.Metrics, classes) -> None:
-    lines = ["class,precision,recall,f1"]
-    for i, cls in enumerate(classes):
-        lines.append(
-            f"{cls.value},{float(metrics.precision[i])!r},"
-            f"{float(metrics.recall[i])!r},{float(metrics.f1[i])!r}"
-        )
-    lines.append(f"macro,{metrics.macro_precision!r},{metrics.macro_recall!r},{metrics.macro_f1!r}")
-    lines.append(f"accuracy,{metrics.accuracy!r},,")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [
+        *zip([c.value for c in classes], metrics.precision, metrics.recall, metrics.f1),
+        ["macro", metrics.macro_precision, metrics.macro_recall, metrics.macro_f1],
+        ["accuracy", metrics.accuracy, "", ""],
+    ]
+    Path(path).write_text(table_text(["class", "precision", "recall", "f1"], rows))
 
 
 def _write_history_csv(path, history: cnn.TrainingHistory) -> None:
     columns = dataclasses.asdict(history)
-    lines = [",".join(["epoch", *columns])]
-    for epoch, row in enumerate(zip(*columns.values()), start=1):
-        lines.append(",".join([str(epoch), *map(repr, row)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(epoch, *row) for epoch, row in enumerate(zip(*columns.values()), start=1)]
+    Path(path).write_text(table_text(["epoch", *columns], rows))
 
 
 def _grids_for(args) -> dict | None:
@@ -367,15 +356,15 @@ def cmd_grid_search(args) -> int:
         _load_dataset(args), grids=_grids_for(args), folds=args.folds, seed=args.seed,
         epochs=args.epochs,
     )
-    lines = [",".join(["rank", *cnn.DEFAULT_GRIDS, "mean_cv_accuracy"])]
-    for rank, (hp, score) in enumerate(result.ranked, start=1):
-        grid_values = [str(getattr(hp, key)) for key in cnn.DEFAULT_GRIDS]
-        lines.append(",".join([str(rank), *grid_values, repr(score)]))
-    (out / "grid_ranking.csv").write_text("\n".join(lines) + "\n")
+    rows = [
+        (rank, *(getattr(hp, key) for key in cnn.DEFAULT_GRIDS), score)
+        for rank, (hp, score) in enumerate(result.ranked, start=1)
+    ]
+    (out / "grid_ranking.csv").write_text(
+        table_text(["rank", *cnn.DEFAULT_GRIDS, "mean_cv_accuracy"], rows)
+    )
     for key, pairs in result.marginals.items():
-        lines = [f"{key},mean_cv_accuracy"]
-        lines.extend(f"{value},{score!r}" for value, score in pairs)
-        (out / f"grid_marginal_{key}.csv").write_text("\n".join(lines) + "\n")
+        (out / f"grid_marginal_{key}.csv").write_text(table_text([key, "mean_cv_accuracy"], pairs))
     (out / "grid_winner.json").write_text(
         json.dumps(dataclasses.asdict(result.winner), indent=2) + "\n"
     )
@@ -392,8 +381,7 @@ def cmd_fit_height(args) -> int:
             for floor in range(1, args.floors + 1)
         ]
         observations = heightfit.floor_profile(windows, law.orientation)
-        expected = "positive" if law.slope > 0 else ("negative" if law.slope < 0 else "flat")
-        analysis = heightfit.height_analysis(observations, expected_sign=expected)
+        analysis = heightfit.height_analysis(observations)
         lines.append(f"{name}: {analysis.fit.equation()}  verdict={analysis.verdict}")
         svgplots.save_svg(
             svgplots.scatter_chart(

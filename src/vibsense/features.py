@@ -167,6 +167,15 @@ def spectral_profile(window: RawWindow) -> SpectrumReport:
     return SpectrumReport(bin_magnitudes=mags, dominant_bin=dominant, dominance_ratio=ratio)
 
 
+def table_text(header, rows) -> str:
+    """Comma-joined lines ending in newlines; a float cell (numpy too) as its bit-exact repr."""
+    return "".join(
+        ",".join(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c) for c in row)
+        + "\n"
+        for row in [header, *rows]
+    )
+
+
 def write_feature_csv(path, vectors, labels=None) -> None:
     """Feature table in dataset column order, label column last.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import LabeledDataset
 from .errors import UndefinedCorrelationError
-from .features import FEATURE_COLUMNS
+from .features import FEATURE_COLUMNS, table_text
 
 CORRELATION_CSV_HEADERS = ["Features", "Correlation value", "Prediction value"]
 
@@ -95,10 +95,7 @@ def select_features(report: CorrelationReport) -> np.ndarray:
 
 
 def correlation_csv(report: CorrelationReport) -> str:
-    lines = [",".join(CORRELATION_CSV_HEADERS)]
-    for name, r, p in zip(report.features, report.r, report.p):
-        lines.append(f"{name},{float(r)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+    return table_text(CORRELATION_CSV_HEADERS, zip(report.features, report.r, report.p))
 
 
 def read_correlation_csv(text: str) -> CorrelationReport:

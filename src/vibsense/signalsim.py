@@ -29,10 +29,6 @@ class StructureClass(Enum):
     STEEL_OVERBRIDGE = "steel_overbridge"
     CONCRETE_OVERBRIDGE = "concrete_overbridge"
 
-    @property
-    def index(self) -> int:
-        return _CLASS_ORDER.index(self)
-
     @classmethod
     def from_name(cls, name: str) -> "StructureClass":
         try:
@@ -40,8 +36,6 @@ class StructureClass(Enum):
         except ValueError:
             raise ValueError(f"unknown structure class {name!r}") from None
 
-
-_CLASS_ORDER = list(StructureClass)
 
 ORIENT_VERTICAL = "vertical"
 ORIENT_HORIZONTAL = "horizontal"

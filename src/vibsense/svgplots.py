@@ -34,6 +34,15 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+def _text(x, y, body, anchor="middle", extra="", font=_FONT) -> str:
+    """One <text> element: coordinates through :func:`_fmt`, the body escaped."""
+    extra = f" {extra}" if extra else ""
+    return (
+        f"<text x='{_fmt(x)}' y='{_fmt(y)}' {font} text-anchor='{anchor}'{extra}>"
+        f"{escape(str(body), quote=False)}</text>"
+    )
+
+
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     """Round tick positions on a 1/2/5 ladder covering [lo, hi], lo < hi."""
     span = hi - lo
@@ -82,34 +91,20 @@ class _Canvas:
         for t in _ticks(self.x_lo, self.x_hi):
             px = self.x(t)
             self.add(f"<line x1='{_fmt(px)}' y1='{_fmt(y0)}' x2='{_fmt(px)}' y2='{_fmt(y0 + 4)}' stroke='#333'/>")
-            self.add(
-                f"<text x='{_fmt(px)}' y='{_fmt(y0 + 16)}' {_FONT} text-anchor='middle'>{_fmt(t)}</text>"
-            )
+            self.add(_text(px, y0 + 16, _fmt(t)))
         for t in _ticks(self.y_lo, self.y_hi):
             py = self.y(t)
             self.add(f"<line x1='{_fmt(x0 - 4)}' y1='{_fmt(py)}' x2='{_fmt(x0)}' y2='{_fmt(py)}' stroke='#333'/>")
-            self.add(
-                f"<text x='{_fmt(x0 - 7)}' y='{_fmt(py + 4)}' {_FONT} text-anchor='end'>{_fmt(t)}</text>"
-            )
+            self.add(_text(x0 - 7, py + 4, _fmt(t), "end"))
         if x_label:
-            self.add(
-                f"<text x='{_fmt((x0 + x1) / 2)}' y='{_fmt(HEIGHT - 6)}' {_FONT} "
-                f"text-anchor='middle'>{escape(x_label, quote=False)}</text>"
-            )
+            self.add(_text((x0 + x1) / 2, HEIGHT - 6, x_label))
         if y_label:
             cx, cy = 14, (y0 + y1) / 2
-            self.add(
-                f"<text x='{_fmt(cx)}' y='{_fmt(cy)}' {_FONT} text-anchor='middle' "
-                f"transform='rotate(-90 {_fmt(cx)} {_fmt(cy)})'>"
-                f"{escape(y_label, quote=False)}</text>"
-            )
+            self.add(_text(cx, cy, y_label, extra=f"transform='rotate(-90 {_fmt(cx)} {_fmt(cy)})'"))
 
     def title(self, text: str):
         if text:
-            self.add(
-                f"<text x='{_fmt(WIDTH / 2)}' y='16' {_TITLE_FONT} "
-                f"text-anchor='middle'>{escape(text, quote=False)}</text>"
-            )
+            self.add(_text(WIDTH / 2, 16, text, font=_TITLE_FONT))
 
     def render(self) -> str:
         return _document(WIDTH, HEIGHT, self.parts)
@@ -144,11 +139,7 @@ def line_chart(series, title="", x_label="", y_label="") -> str:
             )
         if name:
             ly = canvas.mt + 14 + 14 * idx
-            lx = WIDTH - canvas.mr - 8
-            canvas.add(
-                f"<text x='{_fmt(lx)}' y='{_fmt(ly)}' {_FONT} text-anchor='end' "
-                f"fill='{color}'>{escape(str(name), quote=False)}</text>"
-            )
+            canvas.add(_text(WIDTH - canvas.mr - 8, ly, name, "end", f"fill='{color}'"))
     return canvas.render()
 
 
@@ -194,24 +185,10 @@ def heatmap(matrix, row_labels, col_labels, title="") -> str:
     height = mt + cell * n_rows + 40
     top = m.max() if m.size and m.max() > 0 else 1.0
 
-    parts = []
-    if title:
-        parts.append(
-            f"<text x='{_fmt(width / 2)}' y='20' {_TITLE_FONT} "
-            f"text-anchor='middle'>{escape(title, quote=False)}</text>"
-        )
-    for j, label in enumerate(col_labels):
-        cx = ml + cell * j + cell / 2
-        parts.append(
-            f"<text x='{_fmt(cx)}' y='{_fmt(mt - 8)}' {_FONT} text-anchor='middle'>"
-            f"{escape(str(label), quote=False)}</text>"
-        )
-    for i, label in enumerate(row_labels):
-        cy = mt + cell * i + cell / 2 + 4
-        parts.append(
-            f"<text x='{_fmt(ml - 8)}' y='{_fmt(cy)}' {_FONT} text-anchor='end'>"
-            f"{escape(str(label), quote=False)}</text>"
-        )
+    parts = [_text(width / 2, 20, title, font=_TITLE_FONT)] if title else []
+    parts += [_text(ml + cell * j + cell / 2, mt - 8, label) for j, label in enumerate(col_labels)]
+    parts += [_text(ml - 8, mt + cell * i + cell / 2 + 4, label, "end")
+              for i, label in enumerate(row_labels)]
     for i in range(n_rows):
         for j in range(n_cols):
             frac = m[i, j] / top
@@ -224,11 +201,8 @@ def heatmap(matrix, row_labels, col_labels, title="") -> str:
                 f"<rect x='{x0}' y='{y0}' width='{cell}' height='{cell}' "
                 f"fill='rgb({r},{g},{b})' stroke='#999'/>"
             )
-            text_fill = "#fff" if frac > 0.55 else "#111"
-            parts.append(
-                f"<text x='{_fmt(x0 + cell / 2)}' y='{_fmt(y0 + cell / 2 + 4)}' {_FONT} "
-                f"text-anchor='middle' fill='{text_fill}'>{_fmt(m[i, j])}</text>"
-            )
+            text_fill = f"fill='{'#fff' if frac > 0.55 else '#111'}'"
+            parts.append(_text(x0 + cell / 2, y0 + cell / 2 + 4, _fmt(m[i, j]), extra=text_fill))
     return _document(width, height, parts)
 
 

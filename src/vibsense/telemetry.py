@@ -461,7 +461,8 @@ def node_emulator(
     """Synthesize, featurize, and deliver one record per tick.
 
     ``endpoint`` is either an ``http(s)://`` service URL or a file path
-    (dry-run sink, appended with the same wire format). Transport failures
+    (dry-run sink: the server's store, dedup and durable append without the
+    HTTP in between, so a rerun adds only unseen seqs). Transport failures
     and 503s are retried with exponential backoff without skipping seq; a
     409 means the record already landed (e.g. an earlier POST was acked but
     the response got lost), so the emulator moves on. The window for seq k
@@ -482,42 +483,47 @@ def node_emulator(
     is_http = isinstance(endpoint, str) and endpoint.startswith(("http://", "https://"))
     if is_http:
         url = endpoint if endpoint.endswith("/ingest") else endpoint.rstrip("/") + "/ingest"
+    sink = None if is_http else _ServiceState(endpoint)
 
     sent = []
     t0 = time.monotonic()
-    for i in range(count):
-        wait = t0 + i * interval_s - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        seq = start_seq + i
-        window = synth_window(profile, seed=seed * 1_000_003 + seq)
-        record = TelemetryRecord(
-            node_id=node_id,
-            timestamp_ms=time_fn(),
-            seq=seq,
-            features=extract_features(window),
-            label=profile.structure,
-            site=site,
-        )
-        if not is_http:
-            append_store(endpoint, record)
-        else:
-            body = encode_record(record)
-            for attempt in range(MAX_RETRIES + 1):
-                try:
-                    status = _post_once(url, body, POST_TIMEOUT_S)
-                except (urllib.error.URLError, OSError):
-                    status = None  # transport failure
-                if status in (201, 409):
-                    break
-                if status == 400:
-                    raise DeliveryError(len(sent), f"server rejected seq {seq} with 400")
-                if attempt == MAX_RETRIES:
-                    raise DeliveryError(
-                        len(sent),
-                        f"giving up on seq {seq} after {MAX_RETRIES} retries "
-                        f"(last status {status})",
-                    )
-                time.sleep(BACKOFF_S * 2**attempt)
-        sent.append(record)
+    try:
+        for i in range(count):
+            wait = t0 + i * interval_s - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            seq = start_seq + i
+            window = synth_window(profile, seed=seed * 1_000_003 + seq)
+            record = TelemetryRecord(
+                node_id=node_id,
+                timestamp_ms=time_fn(),
+                seq=seq,
+                features=extract_features(window),
+                label=profile.structure,
+                site=site,
+            )
+            if sink is not None:
+                sink.ingest(record)  # "duplicate" counts as delivered, as a 409 does
+            else:
+                body = encode_record(record)
+                for attempt in range(MAX_RETRIES + 1):
+                    try:
+                        status = _post_once(url, body, POST_TIMEOUT_S)
+                    except (urllib.error.URLError, OSError):
+                        status = None  # transport failure
+                    if status in (201, 409):
+                        break
+                    if status == 400:
+                        raise DeliveryError(len(sent), f"server rejected seq {seq} with 400")
+                    if attempt == MAX_RETRIES:
+                        raise DeliveryError(
+                            len(sent),
+                            f"giving up on seq {seq} after {MAX_RETRIES} retries "
+                            f"(last status {status})",
+                        )
+                    time.sleep(BACKOFF_S * 2**attempt)
+            sent.append(record)
+    finally:
+        if sink is not None:
+            sink.close()
     return sent

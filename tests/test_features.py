@@ -18,6 +18,7 @@ from vibsense.features import (
     find_peaks,
     read_feature_csv,
     spectral_profile,
+    table_text,
     write_feature_csv,
 )
 from vibsense.signalsim import (
@@ -271,6 +272,16 @@ def test_feature_csv_round_trip(tmp_path):
     assert got_labels == labels
     for a, b in zip(got_vectors, vectors):
         assert a == b  # repr round-trip is exact
+
+
+def test_table_text_exact():
+    text = table_text(
+        ["id", "name", "value", "note"],
+        [[7, "a", 0.1, np.float64(0.5)], [8, "b", float("inf"), ""], [9, "c", 1 / 3, -0.0]],
+    )
+    assert text == "id,name,value,note\n7,a,0.1,0.5\n8,b,inf,\n9,c,0.3333333333333333,-0.0\n"
+    assert float(text.splitlines()[3].split(",")[2]) == 1 / 3  # a float cell reads back bit-exact
+    assert table_text(["k", "v"], []) == "k,v\n"
 
 
 def test_feature_csv_rejects_foreign_header(tmp_path):

@@ -151,3 +151,37 @@ def test_line_chart_exact_document():
         f"<text x='617' y='44' {tick} text-anchor='end' fill='#1f628e'>s</text>\n"
         "</svg>\n"
     )
+
+
+def test_scatter_chart_with_fit_line_exact_document():
+    svg = scatter_chart(
+        [1, 2], [2.0, 3.0], line=(0.8, 1.3), title="fit <1>", x_label="floor", y_label="amp & mean"
+    )
+    tick = "font-family='monospace' font-size='11'"
+    assert svg == (
+        "<svg xmlns='http://www.w3.org/2000/svg' width='640' height='400' viewBox='0 0 640 400'>\n"
+        "<rect width='640' height='400' fill='white'/>\n"
+        "<text x='320' y='16' font-family='monospace' font-size='13' text-anchor='middle'>"
+        "fit &lt;1&gt;</text>\n"
+        "<rect x='55' y='30' width='570' height='325' fill='none' stroke='#333'/>\n"
+        "<line x1='80.9091' y1='355' x2='80.9091' y2='359' stroke='#333'/>\n"
+        f"<text x='80.9091' y='371' {tick} text-anchor='middle'>1</text>\n"
+        "<line x1='340' y1='355' x2='340' y2='359' stroke='#333'/>\n"
+        f"<text x='340' y='371' {tick} text-anchor='middle'>1.5</text>\n"
+        "<line x1='599.091' y1='355' x2='599.091' y2='359' stroke='#333'/>\n"
+        f"<text x='599.091' y='371' {tick} text-anchor='middle'>2</text>\n"
+        "<line x1='51' y1='340.227' x2='55' y2='340.227' stroke='#333'/>\n"
+        f"<text x='48' y='344.227' {tick} text-anchor='end'>2</text>\n"
+        "<line x1='51' y1='192.5' x2='55' y2='192.5' stroke='#333'/>\n"
+        f"<text x='48' y='196.5' {tick} text-anchor='end'>2.5</text>\n"
+        "<line x1='51' y1='44.7727' x2='55' y2='44.7727' stroke='#333'/>\n"
+        f"<text x='48' y='48.7727' {tick} text-anchor='end'>3</text>\n"
+        f"<text x='340' y='394' {tick} text-anchor='middle'>floor</text>\n"
+        f"<text x='14' y='192.5' {tick} text-anchor='middle' "
+        "transform='rotate(-90 14 192.5)'>amp &amp; mean</text>\n"
+        "<line x1='80.9091' y1='310.682' x2='599.091' y2='74.3182' stroke='#d1495b' "
+        "stroke-width='1.5'/>\n"
+        "<circle cx='80.9091' cy='340.227' r='3' fill='#1f628e' fill-opacity='0.8'/>\n"
+        "<circle cx='599.091' cy='44.7727' r='3' fill='#1f628e' fill-opacity='0.8'/>\n"
+        "</svg>\n"
+    )
