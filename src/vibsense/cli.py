@@ -26,7 +26,7 @@ from .features import (
     FeatureVector,
     extract_feature_matrix,
     read_feature_csv,
-    spectral_profile,
+    spectral_profiles,
     table_text,
     write_feature_csv,
 )
@@ -176,26 +176,31 @@ def cmd_simulate(args) -> int:
 
 def _window_files(args):
     win_dir = _in_path(args, "windows", "windows")
-    files = sorted(win_dir.glob("win_*.csv"))
+    files = sorted(win_dir.glob("win_*.csv"), key=lambda p: p.name)  # = path order, cheaper
     if not files:
         raise FileNotFoundError(f"no window CSVs under {win_dir}")
     return files
 
 
-# Windows per extract_feature_matrix call: bounds the memory of a large corpus.
+# Windows per kernel call: bounds the memory of a large corpus.
 _EXTRACT_BATCH = 4096
+
+
+def _per_window(kernel, windows) -> list:
+    """``kernel``'s row for each window, one call per batch of equal-length windows."""
+    batches = {}  # windows of one length stack into one call; a corpus has one length
+    for i, window in enumerate(windows):
+        batches.setdefault((len(window), i // _EXTRACT_BATCH), []).append(i)
+    results = {}
+    for idx in batches.values():
+        results.update(zip(idx, kernel(np.stack([windows[i].samples for i in idx]))))
+    return [results[i] for i in range(len(windows))]
 
 
 def cmd_extract(args) -> int:
     out = _out_dir(args)
     windows = [read_window_csv(path) for path in _window_files(args)]
-    batches = {}  # windows of one length stack into one call; a corpus has one length
-    for i, window in enumerate(windows):
-        batches.setdefault((len(window), i // _EXTRACT_BATCH), []).append(i)
-    rows = np.empty((len(windows), len(FEATURE_COLUMNS)))
-    for idx in batches.values():
-        rows[idx] = extract_feature_matrix(np.stack([windows[i].samples for i in idx]))
-    vectors = [FeatureVector.from_array(row) for row in rows]
+    vectors = [FeatureVector.from_array(row) for row in _per_window(extract_feature_matrix, windows)]
     labels = [window.source.value if window.source else None for window in windows]
     target = out / "features.csv"
     write_feature_csv(target, vectors, labels)
@@ -205,11 +210,10 @@ def cmd_extract(args) -> int:
 
 def cmd_spectral_check(args) -> int:
     out = _out_dir(args)
-    rows = []
-    for path in _window_files(args):
-        report = spectral_profile(read_window_csv(path))
-        flat = int(report.dominance_ratio < FLATNESS_THRESHOLD)
-        rows.append([path.name, report.dominant_bin, report.dominance_ratio, flat])
+    files = _window_files(args)
+    reports = _per_window(spectral_profiles, [read_window_csv(path) for path in files])
+    rows = [[path.name, r.dominant_bin, r.dominance_ratio, int(r.dominance_ratio < FLATNESS_THRESHOLD)]
+            for path, r in zip(files, reports)]
     target = out / "spectral_report.csv"
     target.write_text(table_text(["file", "dominant_bin", "dominance_ratio", "flat"], rows))
     print(

@@ -107,42 +107,59 @@ def extract_features(window: RawWindow) -> FeatureVector:
 def extract_feature_matrix(samples) -> np.ndarray:
     """The 12 statistics of each row of an (n, N) sample array, as (n, 12).
 
-    Columns follow :data:`FEATURE_COLUMNS`. The moments keep the per-window
-    arithmetic (numpy ``centered**3``, Python-float ``m2**1.5``), as other
-    forms change the last bits. Raises InsufficientDataError below 4 samples.
+    Columns follow :data:`FEATURE_COLUMNS`, bit for bit as the per-window
+    ``np.mean((x - x.mean())**p)`` and ``m2**1.5``. If all samples are integers
+    and each row's range ``hi - lo`` is below the row length, the 3rd and 4th
+    powers come from a per-row table of ``(lo + k) - mean`` (exact ``lo + k``)
+    gathered with ``x - lo``; other input powers each sample. Raises
+    InsufficientDataError below 4 samples.
     """
     x = np.asarray(samples, dtype=float)
     n, length = x.shape
     if length < 4:
         raise InsufficientDataError(f"window has {length} samples, need >= 4")
-    mean = np.mean(x, axis=1)
+    mean = np.add.reduce(x, axis=1) / length  # np.mean's own sum and divide, without its wrapper
     centered = x - mean[:, None]
-    m2, m3, m4 = (np.mean(centered**p, axis=1) for p in (2, 3, 4))
-    rms = np.sqrt(np.mean(x * x, axis=1))
     ordered = np.sort(x, axis=1)
-    # mode: the first longest run of one integer in the sorted row (smallest value on ties)
+    lo, hi = ordered[:, 0], ordered[:, -1]
     ints = ordered.astype(np.int64)
-    run = np.cumsum(np.diff(ints, axis=1, prepend=ints[:, :1] - 1) != 0) - 1
+    span = (hi - lo).max(initial=0)
+    if span < length and (ordered == ints).all():
+        table = (lo[:, None] + np.arange(span + 1)) - mean[:, None]
+        at = (x - lo[:, None]).astype(np.intp) + np.arange(0, table.size, table.shape[1])[:, None]
+        m3, m4 = ((table**p).take(at) for p in (3, 4))  # flat indices into the C-ordered table
+    else:
+        m3, m4 = centered**3, centered**4
+    m2, m3, m4 = (np.add.reduce(c, axis=1) / length for c in (centered * centered, m3, m4))
+    rms = np.sqrt(np.add.reduce(x * x, axis=1) / length)
+    # mode: the first longest run of one integer in the sorted row (smallest value on ties)
+    change = np.ones(ints.shape, dtype=bool)
+    np.not_equal(ints[:, 1:], ints[:, :-1], out=change[:, 1:])
+    run = np.cumsum(change) - 1
     run_length = np.bincount(run)[run].reshape(ints.shape)
     is_peak = _peak_mask(x)
     num_peaks = is_peak.sum(axis=1)
     peak_sum = np.where(is_peak, x[:, 1:-1], 0.0).sum(axis=1)
+    middle = ordered[:, (length - 1) // 2 : length // 2 + 1]  # as np.median
     var = m2.tolist()  # zero-variance windows take skewness and kurtosis 0
     columns = {
         "mean": mean,
         "mode": ints[np.arange(n), run_length.argmax(axis=1)],
-        "median": ordered[:, (length - 1) // 2 : length // 2 + 1].mean(axis=1),  # as np.median
+        "median": np.add.reduce(middle, axis=1) / middle.shape[1],
         "std_dev": np.sqrt(m2),
-        "max": ordered[:, -1],
-        "min": ordered[:, 0],
+        "max": hi,
+        "min": lo,
         "rms": rms,
         "num_peaks": num_peaks,
         "avg_peak_value": np.divide(peak_sum, num_peaks, out=np.zeros(n), where=num_peaks > 0),
         "skewness": [a / v**1.5 if v > 0 else 0.0 for a, v in zip(m3.tolist(), var)],
         "kurtosis": [b / v**2 - 3.0 if v > 0 else 0.0 for b, v in zip(m4.tolist(), var)],
-        "crest_factor": np.divide(ordered[:, -1], rms, out=np.zeros(n), where=rms > 0),
+        "crest_factor": np.divide(hi, rms, out=np.zeros(n), where=rms > 0),
     }
-    return np.column_stack([columns[name] for name in FEATURE_COLUMNS])
+    out = np.empty((n, len(FEATURE_COLUMNS)))
+    for i, name in enumerate(FEATURE_COLUMNS):
+        out[:, i] = columns[name]
+    return out
 
 
 def spectral_profile(window: RawWindow) -> SpectrumReport:
@@ -151,20 +168,19 @@ def spectral_profile(window: RawWindow) -> SpectrumReport:
     A broadband window keeps the ratio near 1; a planted tone pushes it far
     above :data:`FLATNESS_THRESHOLD`. A constant window reports ratio 1.
     """
-    x = np.asarray(window.samples, dtype=float)
-    if x.size < 8:
-        raise InsufficientDataError(f"window has {x.size} samples, need >= 8")
-    mags = np.abs(np.fft.rfft(x - np.mean(x)))[1:]  # bins 1..n//2
-    dominant = int(np.argmax(mags)) + 1
-    peak = float(mags[dominant - 1])
-    med = float(np.median(mags))
-    if peak == 0.0:
-        ratio = 1.0
-    elif med == 0.0:
-        ratio = float("inf")
-    else:
-        ratio = peak / med
-    return SpectrumReport(bin_magnitudes=mags, dominant_bin=dominant, dominance_ratio=ratio)
+    return spectral_profiles(np.reshape(window.samples, (1, -1)))[0]
+
+
+def spectral_profiles(samples) -> list[SpectrumReport]:
+    """:func:`spectral_profile` of each row of an (n, N) array; InsufficientDataError below 8."""
+    x = np.asarray(samples, dtype=float)
+    if x.shape[1] < 8:
+        raise InsufficientDataError(f"window has {x.shape[1]} samples, need >= 8")
+    mags = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))[:, 1:]
+    tops, meds = np.argmax(mags, axis=1).tolist(), np.median(mags, axis=1).tolist()
+    peaks = [float(row[top]) for row, top in zip(mags, tops)]
+    ratios = [1.0 if p == 0 else float("inf") if m == 0 else p / m for p, m in zip(peaks, meds)]
+    return [SpectrumReport(*report) for report in zip(mags, [t + 1 for t in tops], ratios)]
 
 
 def table_text(header, rows) -> str:

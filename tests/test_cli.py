@@ -305,6 +305,25 @@ def test_spectral_check_reports_every_window(corpus_dir, tmp_path, capsys):
     assert "spectral-check:" in capsys.readouterr().out
 
 
+def test_spectral_check_batches_windows_of_each_length(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_EXTRACT_BATCH", 2)  # several batches per length
+    windows = tmp_path / "windows"
+    windows.mkdir()
+    rng = np.random.default_rng(4)
+    made = [rng.integers(0, 1024, size=length) for length in (64, 100, 64, 100, 64)]
+    made += [np.full(100, 63), np.tile([1, 0], 50)]  # ratio 1, and a zero median: ratio inf
+    for i, samples in enumerate(made):
+        window = signalsim.RawWindow(samples.astype(np.int32), 200.0, signalsim.StructureClass.BUILDING)
+        signalsim.write_window_csv(window, windows / f"win_{i:05d}_building.csv")
+    assert cli.main(["spectral-check", "--windows", str(windows), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectral_report.csv").read_text().splitlines()[1:]
+    for i, (line, samples) in enumerate(zip(lines, made, strict=True)):
+        one = features.spectral_profile(signalsim.RawWindow(samples, 200.0))
+        flat = int(one.dominance_ratio < features.FLATNESS_THRESHOLD)
+        assert line == f"win_{i:05d}_building.csv,{one.dominant_bin},{one.dominance_ratio!r},{flat}"
+    assert lines[-2].split(",")[2:] == ["1.0", "1"] and lines[-1].split(",")[2:] == ["inf", "0"]
+
+
 def test_fit_height_writes_fits_and_charts(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["fit-height", "--seed", "0", "--floors", "5", "--out", str(out)]) == 0

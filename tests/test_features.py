@@ -18,6 +18,7 @@ from vibsense.features import (
     find_peaks,
     read_feature_csv,
     spectral_profile,
+    spectral_profiles,
     table_text,
     write_feature_csv,
 )
@@ -197,6 +198,56 @@ def test_feature_invariants_hold_for_any_window(samples):
         assert close_rel(fv.crest_factor * fv.rms, fv.max)
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+@st.composite
+def _sample_matrices(draw):
+    """(n, N) matrices whose rows take the power table or the elementwise fallback."""
+    n, length = draw(st.integers(0, 4)), draw(st.integers(4, 40))
+    kinds = draw(st.lists(st.sampled_from(["adc", "narrow", "wide", "float", "constant"]),
+                          min_size=1, max_size=2))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "float":  # non-integer samples: the elementwise path
+            cells = st.floats(-1e4, 1e4, allow_nan=False)
+        elif kind == "adc":  # a range at or above the length falls back
+            cells = st.integers(0, 1023)
+        elif kind == "narrow":  # a range below the length anywhere in int32, extremes included
+            top = _INT32.max - length + 1
+            lo = draw(st.sampled_from([_INT32.min, top]) | st.integers(_INT32.min, top))
+            cells = st.integers(lo, lo + length - 1)
+        elif kind == "wide":
+            cells = st.integers(_INT32.min, _INT32.max)
+        else:
+            cells = st.just(draw(st.integers(_INT32.min, _INT32.max)))
+        rows.append(draw(st.lists(cells, min_size=length, max_size=length)))
+    return np.array(rows, dtype=float if "float" in kinds else np.int32).reshape(n, length)
+
+
+@given(_sample_matrices())
+@settings(max_examples=300, deadline=None)
+def test_feature_matrix_moments_equal_the_elementwise_formula_bit_for_bit(samples):
+    x = samples.astype(float)
+    m2, m3, m4 = (np.mean((x - x.mean(1)[:, None]) ** p, axis=1) for p in (2, 3, 4))
+    var = m2.tolist()
+    skewness = [a / v**1.5 if v > 0 else 0.0 for a, v in zip(m3.tolist(), var)]
+    kurtosis = [b / v**2 - 3.0 if v > 0 else 0.0 for b, v in zip(m4.tolist(), var)]
+    matrix = extract_feature_matrix(samples)
+    assert matrix.shape == (len(samples), len(FEATURE_COLUMNS))
+    column = {name: matrix[:, i].tolist() for i, name in enumerate(FEATURE_COLUMNS)}
+    assert column["std_dev"] == np.sqrt(m2).tolist()
+    assert column["skewness"] == skewness and column["kurtosis"] == kurtosis
+    for row, window in zip(matrix, samples):
+        assert (row == extract_features(_window(window)).as_array()).all()
+
+
+def test_feature_matrix_of_no_rows_has_twelve_columns():
+    for dtype in (np.int32, float):
+        assert extract_feature_matrix(np.zeros((0, 1600), dtype=dtype)).shape == (0, 12)
+
+
 # ------------------------------------------------------------------- peaks
 
 
@@ -250,9 +301,44 @@ def test_spectral_dc_removed():
     assert report.dominance_ratio < FLATNESS_THRESHOLD
 
 
+def _spectrum_by_formula(samples):
+    """The per-window spectrum: rfft of the DC-removed row, argmax and median of bins 1..N//2."""
+    x = np.asarray(samples, dtype=float)
+    mags = np.abs(np.fft.rfft(x - np.mean(x)))[1:]
+    peak, med = float(mags.max()), float(np.median(mags))
+    ratio = 1.0 if peak == 0.0 else float("inf") if med == 0.0 else peak / med
+    return mags.tolist(), int(np.argmax(mags)) + 1, ratio
+
+
+SPECTRUM_ROWS = {  # first row of a 64-sample batch -> its dominance ratio
+    "planted tone": (np.rint(512 + 100 * np.sin(2 * np.pi * 5 * np.arange(64) / 64)), None),
+    "constant": (np.full(64, 63), 1.0),  # zero peak
+    "median zero": (np.tile([1, 0], 32), float("inf")),  # the Nyquist bin alone
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_ROWS))
+def test_spectral_profiles_rows_equal_the_one_window_path_bit_for_bit(name):
+    first, ratio = SPECTRUM_ROWS[name]
+    batch = np.vstack([first, np.random.default_rng(3).integers(400, 600, size=(3, 64))])
+    reports = spectral_profiles(batch.astype(np.int32))
+    assert len(reports) == len(batch)
+    for samples, report in zip(batch, reports):
+        one = spectral_profile(_window(samples.astype(np.int32)))
+        got = (report.bin_magnitudes.tolist(), report.dominant_bin, report.dominance_ratio)
+        assert got == (one.bin_magnitudes.tolist(), one.dominant_bin, one.dominance_ratio)
+        assert got == _spectrum_by_formula(samples)
+    if ratio is None:
+        assert reports[0].dominant_bin == 5 and reports[0].dominance_ratio > FLATNESS_THRESHOLD
+    else:
+        assert reports[0].dominance_ratio == ratio
+
+
 def test_spectral_too_short():
     with pytest.raises(InsufficientDataError):
         spectral_profile(_window([1, 2, 3, 4, 5, 6, 7]))
+    with pytest.raises(InsufficientDataError):
+        spectral_profiles(np.zeros((3, 7)))
 
 
 # ---------------------------------------------------------------------- csv
