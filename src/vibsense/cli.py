@@ -1,6 +1,5 @@
 """Command-line front end: one subcommand per pipeline stage.
 
-Precedence for settings: explicit flag > --config JSON > built-in default.
 Every subcommand writes byte-identical artifacts for identical inputs and
 seed; failures exit nonzero with a message naming the stage.
 """
@@ -11,8 +10,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import types
-import typing
 from collections import Counter
 from pathlib import Path
 
@@ -33,111 +30,12 @@ from .features import (
 from .signalsim import (
     DEFAULT_PROFILES,
     REFERENCE_LAWS,
-    ClassProfile,
     StructureClass,
     building_series,
     read_window_csv,
     simulate_corpus,
     write_window_csv,
 )
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Settings a --config JSON file can give; a flag overrides its value.
-
-    After parsing, ``main`` fills every setting the command line left unset
-    from the config file, else from the defaults here.
-    """
-
-    seed: int = 0
-    out: str = "out"
-    windows: str | None = None
-    features: str | None = None
-    store: str | None = None
-    endpoint: str | None = None
-    classes: list[str] | None = None
-    profiles: dict | None = None  # class name -> field overrides
-    grids: dict | None = None
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        """Read a JSON object; a null value leaves its setting unset."""
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        hints = typing.get_type_hints(cls)
-        unknown = set(data) - set(hints)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = {key: value for key, value in data.items() if value is not None}
-        for key, value in data.items():
-            if not _is_a(value, hints[key]):
-                want = getattr(hints[key], "__name__", hints[key])
-                raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
-        _check_profiles(data.get("profiles", {}))
-        _check_grids(data.get("grids", {}))
-        return cls(**data)
-
-
-_CLASS_NAMES = [c.value for c in StructureClass]
-_PROFILE_FIELDS = [f.name for f in dataclasses.fields(ClassProfile) if f.name != "structure"]
-
-
-def _check_profiles(profiles: dict) -> None:
-    """Each override names a known class and maps known profile fields to numbers."""
-    for name, overrides in profiles.items():
-        where = f"config profiles[{name!r}]"
-        if name not in _CLASS_NAMES:
-            raise ValueError(f"{where}: unknown class; known: {_CLASS_NAMES}")
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{where} must be an object, got {overrides!r}")
-        for key, value in overrides.items():
-            if key not in _PROFILE_FIELDS or not _is_a(value, int | float):
-                raise ValueError(f"{where}[{key!r}] = {value!r}: want a number for one of "
-                                 f"{_PROFILE_FIELDS}")
-
-
-def _check_grids(grids: dict) -> None:
-    """Each axis is a grid axis with a non-empty list; CnnHyperparams judges each value."""
-    for axis, values in grids.items():
-        where = f"config grids[{axis!r}] = {values!r}"
-        if axis not in cnn.DEFAULT_GRIDS or not (isinstance(values, list) and values):
-            raise ValueError(f"{where}: want a non-empty list; axes: {list(cnn.DEFAULT_GRIDS)}")
-        for value in values:
-            try:
-                cnn.CnnHyperparams(**{axis: value})
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-
-
-def _is_a(value, hint) -> bool:
-    """isinstance against an annotation such as int, str | None or list[str] | None."""
-    if isinstance(hint, types.UnionType):
-        return any(_is_a(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_is_a(v, item) for v in value)
-    return isinstance(value, hint) and not (isinstance(value, bool) and hint is not bool)
-
-
-def _apply_config(args) -> None:
-    """Fill each RunConfig setting the command line left unset: config file, else default."""
-    config = RunConfig.load(args.config) if args.config else RunConfig()
-    for f in dataclasses.fields(RunConfig):
-        if getattr(args, f.name, None) is None:
-            setattr(args, f.name, getattr(config, f.name))
-
-
-def _profiles_for(args) -> dict[StructureClass, ClassProfile]:
-    profiles = dict(DEFAULT_PROFILES)
-    for name, fields in (args.profiles or {}).items():
-        cls = StructureClass.from_name(name)
-        profiles[cls] = dataclasses.replace(profiles[cls], **fields)
-    if args.classes:
-        wanted = [StructureClass.from_name(c) for c in args.classes]
-        profiles = {c: profiles[c] for c in wanted}
-    return profiles
 
 
 def _out_dir(args) -> Path:
@@ -147,7 +45,7 @@ def _out_dir(args) -> Path:
 
 
 def _in_path(args, name, relative) -> Path:
-    """Input path: explicit flag/config first, else <out>/<relative>."""
+    """Input path: explicit flag first, else <out>/<relative>."""
     value = getattr(args, name)
     return Path(value) if value is not None else Path(args.out) / relative
 
@@ -164,8 +62,8 @@ def _load_dataset(args) -> baselines.LabeledDataset:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    profiles = _profiles_for(args)
-    windows = simulate_corpus(args.count, profiles, seed=args.seed)
+    wanted = map(StructureClass.from_name, args.classes or [])  # none: all five classes
+    windows = simulate_corpus(args.count, {c: DEFAULT_PROFILES[c] for c in wanted}, seed=args.seed)
     win_dir = out / "windows"
     win_dir.mkdir(exist_ok=True)
     for i, window in enumerate(windows):
@@ -317,15 +215,9 @@ def _write_history_csv(path, history: cnn.TrainingHistory) -> None:
     Path(path).write_text(table_text(["epoch", *columns], rows))
 
 
-def _grids_for(args) -> dict | None:
-    if args.reduced_grid:
-        return {
-            "batch_size": [100],
-            "kernel_length": [3],
-            "base_filters": [4, 8],
-            "activation": ["relu", "elu"],
-        }
-    return args.grids
+# `grid-search --reduced-grid`: the paper's grid cut to 4 combos at batch 100, K=3.
+_REDUCED_GRID = {"batch_size": [100], "kernel_length": [3], "base_filters": [4, 8],
+                 "activation": ["relu", "elu"]}
 
 
 def cmd_train_cnn(args) -> int:
@@ -357,8 +249,8 @@ def _hp_str(hp: cnn.CnnHyperparams) -> str:
 def cmd_grid_search(args) -> int:
     out = _out_dir(args)
     result = cnn.grid_search(
-        _load_dataset(args), grids=_grids_for(args), folds=args.folds, seed=args.seed,
-        epochs=args.epochs,
+        _load_dataset(args), grids=_REDUCED_GRID if args.reduced_grid else None,
+        folds=args.folds, seed=args.seed, epochs=args.epochs,
     )
     rows = [
         (rank, *(getattr(hp, key) for key in cnn.DEFAULT_GRIDS), score)
@@ -419,16 +311,13 @@ def cmd_emulate_node(args) -> int:
     endpoint = args.endpoint if args.endpoint is not None else args.store
     if endpoint is None:
         raise ValueError("emulate-node needs --endpoint (URL) or --store (dry-run file)")
-    profiles = _profiles_for(args)
-    cls = StructureClass.from_name(args.structure)
-    if cls not in profiles:
-        raise ValueError(f"no profile for {args.structure}")
+    profile = DEFAULT_PROFILES[StructureClass.from_name(args.structure)]
     time_fn = None
     if args.base_time_ms is not None:
         ticks = iter(range(10**9))
         time_fn = lambda: args.base_time_ms + next(ticks) * max(int(args.interval * 1000), 1)
     sent = telemetry.node_emulator(
-        profiles[cls],
+        profile,
         endpoint,
         interval_s=args.interval,
         count=args.count,
@@ -463,16 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vibration-sensing pipeline: simulate, featurize, select, "
         "classify, fit, and ship telemetry.",
     )
-    parser.add_argument("--config", help="JSON run-config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, *, seed=True, out=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if seed:
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
         if out:
-            p.add_argument("--out", default=None)
+            p.add_argument("--out", default="out")
         return p
 
     p = command("simulate", cmd_simulate, "generate a labeled window corpus")
@@ -538,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
         return args.handler(args)
     except (VibsenseError, OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -401,6 +401,8 @@ def train(
     best validation accuracy; its history covers every epoch. Raises
     :class:`DivergenceError` on a non-finite loss.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     mean = ds.rows.mean(axis=0)
     std = ds.rows.std(axis=0)
     std[std == 0] = 1.0  # keep width 12: constant columns pass through centered

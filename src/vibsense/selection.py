@@ -111,5 +111,8 @@ def read_correlation_csv(text: str) -> CorrelationReport:
             p.append(float(p_cell))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: want a name and two numbers: {exc}") from None
+        if name not in FEATURE_COLUMNS or name in features:
+            raise ValueError(f"line {lineno}: want each name once, from {list(FEATURE_COLUMNS)}; "
+                             f"got {name!r}")
         features.append(name)
     return CorrelationReport(features=features, r=np.array(r), p=np.array(p), n=0)

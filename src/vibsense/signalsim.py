@@ -320,6 +320,8 @@ def simulate_corpus(
     Counts per class follow largest-remainder apportionment of an even split;
     window seeds derive deterministically from ``seed``.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     profiles = profiles or DEFAULT_PROFILES
     classes = list(profiles)
     shares = _apportion(count, [1.0 / len(classes)] * len(classes))

@@ -303,16 +303,15 @@ class _Handler(BaseHTTPRequestHandler):
         if urllib.parse.urlsplit(self.path).path != "/ingest":
             self._send(404, {"error": "unknown path"})
             return
-        try:
-            length = int(self.headers["Content-Length"])
-        except (TypeError, ValueError):  # missing or not a number
-            length = -1
-        if length < 0:
+        raw = (self.headers["Content-Length"] or "").strip(" \t")  # missing reads as ""
+        if not (raw.isascii() and raw.isdigit()):  # RFC 9110 8.6: 1*DIGIT, so no sign or "_"
             self.close_connection = True  # the body's end is unknown
             self._send(
                 400, {"error": "Content-Length must be a non-negative integer", "field": "body"}
             )
             return
+        # 9 significant digits already exceed MAX_BODY_BYTES, and int() refuses over 4300
+        length = int(raw.lstrip("0")[:9] or 0)
         if length > MAX_BODY_BYTES:
             self.close_connection = True  # the body is left unread
             self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes", "field": "body"})

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import re
@@ -47,6 +46,24 @@ def test_simulate_class_filter(tmp_path):
     names = [p.name for p in (out / "windows").iterdir()]
     assert len(names) == 10
     assert all("railline" in n for n in names)
+
+
+def test_simulate_building_only_writes_the_default_building_windows(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--seed", "4", "--count", "3", "--classes", "building",
+                     "--out", str(out)]) == 0
+    paths = sorted((out / "windows").iterdir())
+    assert [p.name for p in paths] == [f"win_{i:05d}_building.csv" for i in range(3)]
+    building = signalsim.StructureClass.BUILDING
+    want = signalsim.simulate_corpus(3, {building: signalsim.DEFAULT_PROFILES[building]}, seed=4)
+    got = [signalsim.read_window_csv(p) for p in paths]
+    assert [w.samples.tolist() for w in got] == [w.samples.tolist() for w in want]
+
+
+def test_simulate_negative_count_exits_2(tmp_path, capsys):
+    assert cli.main(["simulate", "--count", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "simulate: count must be >= 0\n"
+    assert not (tmp_path / "out" / "windows").exists()
 
 
 # ------------------------------------------------------------------ extract
@@ -142,8 +159,13 @@ def test_select_missing_input_exits_2(tmp_path, capsys):
         ("Features,Correlation value,Prediction value\nMean\n", "line 2"),
         ("Features,Correlation value,Prediction value\nMean,0.7,x\n", "line 2"),
         ("Features,Correlation value\nMean,0.7,0.01\n", "line 1"),
+        ("Features,Correlation value,Prediction value\nmean,0.7,0.01\nbogus,0.1,0.5\n", "line 3"),
+        ("Features,Correlation value,Prediction value\nMean,0.7,0.01\n", "line 2"),
+        ("Features,Correlation value,Prediction value\nmean,0.7,0.01\nmean,0.7,0.01\n",
+         "line 3"),
     ],
-    ids=["short row", "cell not a number", "wrong header"],
+    ids=["short row", "cell not a number", "wrong header", "unknown name", "name in the wrong case",
+         "repeated name"],
 )
 def test_select_on_a_malformed_correlation_table_exits_2(tmp_path, capsys, text, where):
     table = tmp_path / "correlations.csv"
@@ -285,10 +307,24 @@ def test_train_cnn_rejects_bad_activation(corpus_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("train-cnn:")
 
 
+@pytest.mark.parametrize(
+    "command", [["train-cnn", "--epochs", "0"], ["train-cnn", "--epochs", "-3"],
+                ["grid-search", "--epochs", "0", "--reduced-grid", "--folds", "2"]],
+    ids=["train-cnn 0", "train-cnn -3", "grid-search 0"],
+)
+def test_fewer_than_one_epoch_exits_2(corpus_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = cli.main([*command, "--features", str(corpus_dir / "features.csv"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"{command[0]}: epochs must be >= 1, got {command[2]}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_flag_is_a_usage_error(corpus_dir):
-    with pytest.raises(SystemExit) as exc_info:
-        cli.main(["simulate", "--bogus"])
-    assert exc_info.value.code != 0
+    for argv in (["simulate", "--bogus"], ["--config", "run.json", "simulate"]):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code != 0
 
 
 # ------------------------------------------------------------ spectral/fits
@@ -394,6 +430,13 @@ def test_emulate_node_needs_a_destination(capsys):
     assert "emulate-node:" in capsys.readouterr().err
 
 
+def test_emulate_node_unknown_structure_exits_2(tmp_path, capsys):
+    sink = tmp_path / "s.jsonl"
+    assert cli.main(["emulate-node", "--structure", "castle", "--store", str(sink)]) == 2
+    assert capsys.readouterr().err == "emulate-node: unknown structure class 'castle'\n"
+    assert not sink.exists()
+
+
 def test_report_totals_match_scan(tmp_path, capsys):
     sink = tmp_path / "sink.jsonl"
     for structure, count in (("building", 3), ("concrete_overbridge", 2)):
@@ -410,33 +453,17 @@ def test_report_totals_match_scan(tmp_path, capsys):
     assert "label concrete_overbridge: count=2" in out
 
 
-# ------------------------------------------------------------------- config
+# --------------------------------------------------------------- defaults
 
 
-def test_config_supplies_defaults(tmp_path):
-    cfg = tmp_path / "run.json"
-    via_cfg, via_flag = tmp_path / "via_cfg", tmp_path / "via_flag"
-    cfg.write_text(json.dumps({"seed": 7, "out": str(via_cfg)}))
-    assert cli.main(["--config", str(cfg), "simulate", "--count", "8"]) == 0
-    assert cli.main(["simulate", "--seed", "7", "--count", "8", "--out", str(via_flag)]) == 0
-    assert _tree(via_cfg) == _tree(via_flag)
-
-
-def test_config_flag_precedence(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"seed": 7}))
+def test_omitted_seed_and_out_take_their_defaults(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["--config", str(cfg), "simulate", "--seed", "9", "--count", "8",
-                     "--out", str(a)]) == 0
-    assert cli.main(["simulate", "--seed", "9", "--count", "8", "--out", str(b)]) == 0
-    assert _tree(a) == _tree(b)
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    assert cli.main(["--config", str(cfg), "report", "--store", "x.jsonl"]) == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    for run, flags in ((a, []), (b, ["--seed", "0", "--out", "out"])):
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert cli.main(["simulate", "--count", "8", *flags]) == 0
+    assert _tree(a / "out") == _tree(b / "out")
+    assert len(_tree(a / "out")) == 8
 
 
 def test_out_flag_alone_threads_through_the_pipeline(tmp_path, monkeypatch):
@@ -459,81 +486,6 @@ def test_out_flag_alone_threads_through_the_pipeline(tmp_path, monkeypatch):
                      "--interval", "0", "--store", str(run / "telemetry.jsonl")]) == 0
     assert cli.main(["report", "--out", str(run)]) == 0
     assert not (elsewhere / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "text", ["[]", '{"seed": "7"}', '{"seed": true}', '{"classes": "building"}']
-)
-def test_config_of_the_wrong_shape_is_a_stage_error(tmp_path, capsys, text):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(text)
-    code = cli.main(["--config", str(cfg), "simulate", "--count", "2", "--out", str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("simulate: ")
-
-
-def test_config_null_leaves_the_setting_unset(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"seed": None, "out": None}))
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["--config", str(cfg), "simulate", "--count", "8", "--out", str(a)]) == 0
-    assert cli.main(["simulate", "--count", "8", "--out", str(b)]) == 0
-    assert _tree(a) == _tree(b)
-
-
-def test_config_grids_match_the_reduced_grid_flag(corpus_dir, tmp_path):
-    cfg = tmp_path / "run.json"
-    reduced = {"batch_size": [100], "kernel_length": [3], "base_filters": [4, 8],
-               "activation": ["relu", "elu"]}
-    cfg.write_text(json.dumps({"seed": 0, "features": str(corpus_dir / "features.csv"),
-                               "grids": reduced}))
-    via_cfg, via_flag = tmp_path / "via_cfg", tmp_path / "via_flag"
-    base = ["grid-search", "--folds", "2", "--epochs", "1"]
-    assert cli.main(["--config", str(cfg), *base, "--out", str(via_cfg)]) == 0
-    assert cli.main(["--config", str(cfg), *base, "--out", str(via_flag), "--reduced-grid"]) == 0
-    assert _tree(via_cfg) == _tree(via_flag)
-    assert len((via_cfg / "grid_ranking.csv").read_text().strip().splitlines()) == 5
-
-
-def test_config_profiles_override_the_simulated_class(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"profiles": {"building": {"dc_offset": 300.0}}}))
-    out = tmp_path / "out"
-    assert cli.main(["--config", str(cfg), "simulate", "--seed", "4", "--count", "3",
-                     "--classes", "building", "--out", str(out)]) == 0
-    profile = signalsim.DEFAULT_PROFILES[signalsim.StructureClass.BUILDING]
-    profiles = {profile.structure: dataclasses.replace(profile, dc_offset=300.0)}
-    want = signalsim.simulate_corpus(3, profiles, seed=4)
-    got = [signalsim.read_window_csv(p) for p in sorted((out / "windows").iterdir())]
-    assert [w.samples.tolist() for w in got] == [w.samples.tolist() for w in want]
-    default = signalsim.simulate_corpus(3, {profile.structure: profile}, seed=4)
-    assert [w.samples.tolist() for w in got] != [w.samples.tolist() for w in default]
-
-
-@pytest.mark.parametrize(
-    "command, config",
-    [
-        (["simulate", "--count", "2"], {"profiles": {"building": {"bogus": 1}}}),
-        (["simulate", "--count", "2"], {"profiles": {"castle": {"dc_offset": 1.0}}}),
-        (["simulate", "--count", "2"], {"profiles": {"building": 5}}),
-        (["simulate", "--count", "2"], {"profiles": {"building": {"dc_offset": "high"}}}),
-        (["simulate", "--count", "2"], {"profiles": {"building": {"dc_offset": True}}}),
-        (["simulate", "--count", "2"], {"profiles": {"building": {"structure": "flyover"}}}),
-        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": 50}}),
-        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": []}}),
-        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": [60]}}),
-        (["grid-search", "--epochs", "1"], {"grids": {"batch_size": [100.0]}}),
-        (["grid-search", "--epochs", "1"], {"grids": {"kernel_length": [True]}}),
-        (["grid-search", "--epochs", "1"], {"grids": {"activation": ["swish"]}}),
-        (["grid-search", "--epochs", "1"], {"grids": {"depth": [5]}}),
-    ],
-)
-def test_config_with_a_malformed_nested_value_is_a_stage_error(tmp_path, capsys, command, config):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(config))
-    code = cli.main(["--config", str(cfg), *command, "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith(f"{command[0]}: config ")
 
 
 # The classical chain on 80 windows, seed 5; train-cnn and grid-search are left out of

@@ -371,7 +371,15 @@ def _raw_request(port, request: bytes) -> tuple[bytes, dict]:
     return head.split(b"\r\n")[0], json.loads(body)
 
 
-@pytest.mark.parametrize("header", [b"Content-Length: abc\r\n", b"Content-Length: -1\r\n", b""])
+_BODY_LENGTH = len(encode_record(_record()))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"Content-Length: abc\r\n", b"Content-Length: -1\r\n", b"",
+     b"Content-Length: +%d\r\n" % _BODY_LENGTH,  # int() takes a sign and "_"; 1*DIGIT does not
+     b"Content-Length: %s\r\n" % "_".join(str(_BODY_LENGTH)).encode()],
+)
 def test_server_bad_content_length_gets_400(tmp_path, header):
     with TelemetryServer(tmp_path / "s.jsonl") as srv:
         request = b"POST /ingest HTTP/1.1\r\nHost: x\r\n" + header + b"\r\n" + encode_record(_record())
@@ -382,19 +390,30 @@ def test_server_bad_content_length_gets_400(tmp_path, header):
     assert scan_store(tmp_path / "s.jsonl") == [_record()]
 
 
+@pytest.mark.parametrize("spell", ["0" * 4400 + "{}", " {} \t"], ids=["4400 zeros", "whitespace"])
+def test_server_content_length_allows_leading_zeros_and_whitespace(tmp_path, spell):
+    length = spell.format(_BODY_LENGTH)
+    head = f"POST /ingest HTTP/1.1\r\nConnection: close\r\nContent-Length:{length}"
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        status, _ = _raw_request(srv.port, head.encode() + b"\r\n\r\n" + encode_record(_record()))
+        assert status.split()[1] == b"201"
+    assert scan_store(tmp_path / "s.jsonl") == [_record()]
+
+
 def test_server_oversized_body_gets_413_without_reading_it(tmp_path):
     with TelemetryServer(tmp_path / "s.jsonl") as srv:
-        with socket.create_connection(("127.0.0.1", srv.port), timeout=1) as sock:
-            t0 = time.perf_counter()
-            sock.sendall(b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000000\r\n\r\n")
-            reply = b""
-            while chunk := sock.recv(65536):  # the server closes: no body is awaited
-                reply += chunk
-            elapsed = time.perf_counter() - t0
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.split(b"\r\n")[0].split()[1] == b"413"
-        assert json.loads(body)["field"] == "body"
-        assert elapsed < 1.0
+        for length in (b"1000000000", b"9" * 5000):  # int() refuses a str of over 4300 digits
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=1) as sock:
+                t0 = time.perf_counter()
+                sock.sendall(b"POST /ingest HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(65536):  # the server closes: no body is awaited
+                    reply += chunk
+                elapsed = time.perf_counter() - t0
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].split()[1] == b"413"
+            assert json.loads(body)["field"] == "body"
+            assert elapsed < 1.0
         assert _post(srv.url, _record())[0] == 201
 
 
