@@ -335,7 +335,7 @@ def cmd_report(args) -> int:
     store = _in_path(args, "store", "telemetry.jsonl")
     index = telemetry.StoreIndex(telemetry.scan_store(store))
     per_label = Counter(r.label.value if r.label else "-" for r in index.records)
-    print(f"report: {len(index.records)} records, {len(index.counts)} nodes")
+    print(f"report: {len(index.records)} records, {len(index.by_node)} nodes")
     for status in index.node_statuses():
         print(
             f"  node {status.node_id}: count={status.record_count} "

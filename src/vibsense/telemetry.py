@@ -20,6 +20,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
+from bisect import bisect_left, insort
 from dataclasses import MISSING, asdict, dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -163,14 +164,16 @@ def decode_record(raw: bytes | str) -> TelemetryRecord:
     )
 
 
-def _append_durable(fh, record: TelemetryRecord) -> None:
-    """Write one record line to ``fh``, flush and fsync; StoreError on failure."""
+def _append_durable(fh, record: TelemetryRecord) -> bytes:
+    """Write one record line to ``fh``, flush and fsync; return the line, StoreError on failure."""
+    line = encode_record(record)
     try:
-        fh.write(encode_record(record) + b"\n")
+        fh.write(line + b"\n")
         fh.flush()
         os.fsync(fh.fileno())
     except OSError as exc:
         raise StoreError(f"append to {fh.name} failed: {exc}") from exc
+    return line
 
 
 def append_store(store_path, record: TelemetryRecord) -> None:
@@ -211,25 +214,54 @@ def scan_store(store_path) -> list[TelemetryRecord]:
 
 
 class StoreIndex:
-    """Records in append order plus per-node max seq, count and last-seen time."""
+    """Records in append order, each node's keys in order, and per-node max seq.
+
+    ``by_node[node]`` holds one ``(timestamp_ms, seq, position)`` key per
+    record, sorted; ``position`` indexes ``records`` and ``lines`` and breaks
+    ties in append order, as a stable sort by ``(timestamp_ms, seq)`` would.
+    """
 
     def __init__(self, records=()):
         self.records: list[TelemetryRecord] = []
+        self.lines: list[bytes | None] = []  # encode_record of each record, None until needed
+        self.by_node: dict[str, list[tuple[int, int, int]]] = {}
         self.max_seq: dict[str, int] = {}
-        self.counts: dict[str, int] = {}
-        self.last_seen: dict[str, int] = {}
         for record in records:
-            self.add(record)
+            self._append(record, None)
+        for keys in self.by_node.values():
+            keys.sort()  # one sort per node, linear when its timestamps run forward
 
-    def add(self, record: TelemetryRecord) -> None:
+    def add(self, record: TelemetryRecord, line: bytes | None = None) -> None:
+        keys = self._append(record, line)
+        insort(keys, keys.pop())  # the new key moves to its place
+
+    def _append(self, record: TelemetryRecord, line: bytes | None) -> list:
+        """Append ``record``, and its key to the end of its node's list; return that list."""
         node = record.node_id
+        keys = self.by_node.setdefault(node, [])
+        keys.append((record.timestamp_ms, record.seq, len(self.records)))
         self.records.append(record)
+        self.lines.append(line)
         self.max_seq[node] = max(self.max_seq.get(node, -1), record.seq)
-        self.counts[node] = self.counts.get(node, 0) + 1
-        self.last_seen[node] = max(self.last_seen.get(node, 0), record.timestamp_ms)
+        return keys
+
+    def line(self, position: int) -> bytes:
+        """The canonical line of ``records[position]``, encoded at most once."""
+        line = self.lines[position]
+        if line is None:  # loaded from the store: a scan does not encode, the first answer does
+            line = self.lines[position] = encode_record(self.records[position])
+        return line
 
     def node_statuses(self) -> list[NodeStatus]:
-        return [NodeStatus(n, self.last_seen[n], self.counts[n]) for n in sorted(self.counts)]
+        # a node's last key holds its latest timestamp
+        return [NodeStatus(n, keys[-1][0], len(keys)) for n, keys in sorted(self.by_node.items())]
+
+
+def _window(keys, since_ms, limit):
+    """A copy of the sorted ``keys`` from ``since_ms`` on (inclusive), at most ``limit``."""
+    # (since_ms,) sorts before every key whose timestamp is since_ms
+    start = 0 if since_ms is None else bisect_left(keys, (since_ms,))
+    return keys[start : None if limit is None else start + limit]
 
 
 class _ServiceState:
@@ -258,25 +290,27 @@ class _ServiceState:
                 return "duplicate"
             if self.fail_writes:
                 raise StoreError("storage failure injected")
-            _append_durable(self._fh, record)
-            self.index.add(record)
+            self.index.add(record, _append_durable(self._fh, record))
             return "stored"
 
     def node_statuses(self) -> list[NodeStatus]:
         with self.lock:
             return self.index.node_statuses()
 
-    def query(self, node_id=None, since_ms=None, limit=None) -> list[TelemetryRecord]:
+    def query(self, node_id=None, since_ms=None, limit=None) -> list[bytes]:
+        """Canonical lines in ``(timestamp_ms, seq)`` order: one node's records or all of them,
+        from ``since_ms`` on (inclusive), at most ``limit``."""
+        index = self.index
         with self.lock:
-            selected = list(self.index.records)
-        if node_id is not None:
-            selected = [r for r in selected if r.node_id == node_id]
-        if since_ms is not None:
-            selected = [r for r in selected if r.timestamp_ms >= since_ms]
-        selected.sort(key=lambda r: (r.timestamp_ms, r.seq))
-        if limit is not None:
-            selected = selected[:limit]
-        return selected
+            if node_id is None:  # a copy of every key, sorted below so ingests need not wait
+                keys = [key for node_keys in index.by_node.values() for key in node_keys]
+            else:
+                keys = _window(index.by_node.get(node_id, []), since_ms, limit)
+        if node_id is None:
+            keys.sort()
+            keys = _window(keys, since_ms, limit)
+        # unlocked: positions never move, and a racing first answer stores the same bytes
+        return [index.line(position) for _, _, position in keys]
 
     def close(self):
         self._fh.close()
@@ -291,7 +325,9 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = REQUEST_TIMEOUT_S  # socket timeout: a stalled client cannot hold a thread
 
     def _send(self, status: int, payload: dict):
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        self._send_body(status, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+
+    def _send_body(self, status: int, body: bytes):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -303,11 +339,13 @@ class _Handler(BaseHTTPRequestHandler):
         if urllib.parse.urlsplit(self.path).path != "/ingest":
             self._send(404, {"error": "unknown path"})
             return
-        raw = (self.headers["Content-Length"] or "").strip(" \t")  # missing reads as ""
-        if not (raw.isascii() and raw.isdigit()):  # RFC 9110 8.6: 1*DIGIT, so no sign or "_"
+        lengths = {v.strip(" \t") for v in self.headers.get_all("Content-Length", [""])}
+        raw = lengths.pop()  # a missing header reads as ""
+        # RFC 9110 8.6: 1*DIGIT, so no sign or "_"; RFC 9112 6.3: values that differ are an error
+        if lengths or not (raw.isascii() and raw.isdigit()):
             self.close_connection = True  # the body's end is unknown
             self._send(
-                400, {"error": "Content-Length must be a non-negative integer", "field": "body"}
+                400, {"error": "Content-Length must be one non-negative integer", "field": "body"}
             )
             return
         # 9 significant digits already exceed MAX_BODY_BYTES, and int() refuses over 4300
@@ -363,8 +401,9 @@ class _Handler(BaseHTTPRequestHandler):
             if limit is not None and limit < 0:
                 self._send(400, {"error": "limit must be >= 0"})
                 return
-            records = self.server.state.query(node_id, since_ms, limit)
-            self._send(200, {"records": [record_wire_dict(r) for r in records]})
+            lines = self.server.state.query(node_id, since_ms, limit)
+            # each line is encode_record's output: the bytes of _send(200, {"records": [...]})
+            self._send_body(200, b'{"records":[' + b",".join(lines) + b"]}")
             return
         self._send(404, {"error": "unknown path"})
 

@@ -1,10 +1,13 @@
 import gc
 import http.client
 import json
+import shutil
 import socket
+import tempfile
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import FIELD_SAMPLE_ROWS
 from vibsense import telemetry
@@ -21,6 +25,7 @@ from vibsense.features import FeatureVector
 from vibsense.signalsim import DEFAULT_PROFILES, StructureClass
 from vibsense.telemetry import (
     WIRE_FEATURE_KEYS,
+    StoreIndex,
     TelemetryRecord,
     TelemetryServer,
     append_store,
@@ -289,7 +294,7 @@ def test_store_survives_a_torn_write_at_every_offset(tmp_path):
         assert state.ingest(records[3]) == "stored", cut
         state.close()
         state = telemetry._ServiceState(path)  # the restart after the tear must come up
-        assert state.query() == records, cut
+        assert state.query() == [encode_record(r) for r in records], cut
         state.close()
         assert path.read_bytes() == b"".join(lines), cut
 
@@ -378,7 +383,10 @@ _BODY_LENGTH = len(encode_record(_record()))
     "header",
     [b"Content-Length: abc\r\n", b"Content-Length: -1\r\n", b"",
      b"Content-Length: +%d\r\n" % _BODY_LENGTH,  # int() takes a sign and "_"; 1*DIGIT does not
-     b"Content-Length: %s\r\n" % "_".join(str(_BODY_LENGTH)).encode()],
+     b"Content-Length: %s\r\n" % "_".join(str(_BODY_LENGTH)).encode(),
+     # RFC 9112 6.3: differing values are unrecoverable, whichever comes first
+     b"Content-Length: %d\r\nContent-Length: 5\r\n" % _BODY_LENGTH,
+     b"Content-Length: 5\r\nContent-Length: %d\r\n" % _BODY_LENGTH],
 )
 def test_server_bad_content_length_gets_400(tmp_path, header):
     with TelemetryServer(tmp_path / "s.jsonl") as srv:
@@ -390,7 +398,10 @@ def test_server_bad_content_length_gets_400(tmp_path, header):
     assert scan_store(tmp_path / "s.jsonl") == [_record()]
 
 
-@pytest.mark.parametrize("spell", ["0" * 4400 + "{}", " {} \t"], ids=["4400 zeros", "whitespace"])
+@pytest.mark.parametrize(
+    "spell", ["0" * 4400 + "{}", " {} \t", "{0}\r\nContent-Length: {0}"],
+    ids=["4400 zeros", "whitespace", "identical repeat"],  # RFC 9110 8.6 lets a repeat through
+)
 def test_server_content_length_allows_leading_zeros_and_whitespace(tmp_path, spell):
     length = spell.format(_BODY_LENGTH)
     head = f"POST /ingest HTTP/1.1\r\nConnection: close\r\nContent-Length:{length}"
@@ -504,6 +515,44 @@ def test_server_record_query_filters(tmp_path):
         assert [r["timestamp_ms"] for r in payload["records"]] == [1000, 2000]
 
 
+def test_server_records_body_is_the_canonical_encoding(tmp_path):
+    path = tmp_path / "store.jsonl"
+    stored = [
+        _record(node="node-a", ts=3000, seq=0, seed=1),
+        _record(node="n\u00f6de-\u03b2", ts=2000, seq=0, seed=2, site="d\u00e4ck"),
+        _record(node="node-a", ts=1000, seq=1, seed=3, label=StructureClass.FLYOVER),
+        _record(node="n\u00f6de-\u03b2", ts=2000, seq=1, seed=4),
+    ]
+    lines = [encode_record(r) for r in stored]
+    # decode_record accepts this line, but its key order and spacing are not canonical
+    loose = dict(reversed(record_wire_dict(stored[2]).items()))
+    lines[2] = json.dumps(loose, separators=(", ", ": "), ensure_ascii=False).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    posted = _record(node="node-a", ts=2000, seq=2, seed=5)
+    every = stored + [posted]
+    beta = urllib.parse.quote("n\u00f6de-\u03b2")
+    cases = [
+        ("", _want(every)),
+        ("?node_id=node-a", _want(every, "node-a")),
+        (f"?node_id={beta}", _want(every, "n\u00f6de-\u03b2")),
+        ("?node_id=node-a&since_ms=2000", _want(every, "node-a", 2000)),  # inclusive
+        ("?node_id=node-a&since_ms=3001", []),  # past the last record
+        ("?since_ms=2000&limit=3", _want(every, None, 2000, 3)),
+        ("?node_id=node-a&limit=0", []),
+        ("?node_id=node-a&limit=2", _want(every, "node-a", None, 2)),
+        ("?node_id=node-unknown", []),
+    ]
+    with TelemetryServer(path) as srv:
+        assert _post(srv.url, posted)[0] == 201
+        for _ in range(2):  # the first answer encodes a loaded record, the second reuses it
+            for query, want in cases:
+                with urllib.request.urlopen(srv.url + "/records" + query, timeout=10) as resp:
+                    body = resp.read()
+                expected = {"records": [record_wire_dict(r) for r in want]}
+                assert body == json.dumps(expected, separators=(",", ":")).encode(), query
+    assert scan_store(path) == every
+
+
 def test_server_restart_keeps_dedup_state(tmp_path):
     path = tmp_path / "store.jsonl"
     with TelemetryServer(path) as srv:
@@ -551,6 +600,140 @@ def test_server_concurrent_posts(tmp_path):
     for r in scan_store(path):
         by_node.setdefault(r.node_id, []).append(r.seq)
     assert all(sorted(seqs) == list(range(5)) for seqs in by_node.values())
+
+
+# ------------------------------------------------- service state vs a model
+
+_MODEL_NODES = ("node-a", "node-b", "n\u00f6de-\u03b3")  # one non-ASCII id
+
+
+def _want(acked, node_id=None, since_ms=None, limit=None):
+    """The reference answer: filter, stable sort by (timestamp_ms, seq), slice."""
+    got = [
+        r for r in acked
+        if (node_id is None or r.node_id == node_id)
+        and (since_ms is None or r.timestamp_ms >= since_ms)
+    ]
+    got.sort(key=lambda r: (r.timestamp_ms, r.seq))
+    return got if limit is None else got[:limit]
+
+
+class ServiceStateMachine(RuleBasedStateMachine):
+    """``_ServiceState`` through ingests, tears and restarts, against the list of acked records."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp()
+        self.path = f"{self.dir}/store.jsonl"
+        self.state = telemetry._ServiceState(self.path)
+        self.acked = []  # the model: every acknowledged record, in append order
+
+    def teardown(self):
+        self.state.close()
+        shutil.rmtree(self.dir)
+
+    def _of(self, node):
+        return [r for r in self.acked if r.node_id == node]
+
+    def _ingest_new(self, node, ts, gap, seed):
+        seq = max((r.seq for r in self._of(node)), default=-1) + gap
+        site = "d\u00e4ck" if seed % 2 else None
+        record = _record(node=node, ts=ts, seq=seq, seed=seed, site=site)
+        assert self.state.ingest(record) == "stored"
+        self.acked.append(record)
+
+    def _restart(self, torn=b""):
+        self.state.close()
+        with open(self.path, "ab") as fh:  # a crash mid-append leaves a prefix, no newline
+            fh.write(torn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a torn tail is cut with a warning
+            self.state = telemetry._ServiceState(self.path)
+        assert scan_store(self.path) == self.acked  # every ack survives every restart
+
+    @rule(node=st.sampled_from(_MODEL_NODES), step=st.integers(0, 3), gap=st.integers(1, 3),
+          seed=st.integers(0, 3))
+    def new_record(self, node, step, gap, seed):
+        last = max((r.timestamp_ms for r in self._of(node)), default=1)
+        self._ingest_new(node, last + step, gap, seed)  # step 0: a timestamp tie
+
+    @precondition(lambda self: self.acked)
+    @rule(data=st.data(), back=st.integers(1, 5), seed=st.integers(0, 3))
+    def earlier_timestamp(self, data, back, seed):
+        node = data.draw(st.sampled_from(sorted({r.node_id for r in self.acked})))
+        last = max(r.timestamp_ms for r in self._of(node))
+        self._ingest_new(node, max(1, last - back), 1, seed)
+
+    @precondition(lambda self: self.acked)
+    @rule(data=st.data())
+    def replay(self, data):
+        assert self.state.ingest(data.draw(st.sampled_from(self.acked))) == "duplicate"
+
+    @precondition(lambda self: self.acked)
+    @rule(data=st.data(), seed=st.integers(4, 7))
+    def out_of_order_seq(self, data, seed):
+        old = data.draw(st.sampled_from(self.acked))
+        seq = data.draw(st.integers(0, max(r.seq for r in self._of(old.node_id))))
+        stale = _record(node=old.node_id, ts=old.timestamp_ms + 1, seq=seq, seed=seed)
+        assert self.state.ingest(stale) == "duplicate"  # dedup is against the largest seq
+
+    @precondition(lambda self: self.acked)
+    @rule(data=st.data(), seed=st.integers(4, 7))
+    def append_without_dedup(self, data, seed):
+        # append_store does not dedup, so a store can hold a node's seqs out
+        # of order and even a repeated (timestamp_ms, seq)
+        old = data.draw(st.sampled_from(self.acked))
+        self.state.close()
+        again = _record(node=old.node_id, ts=old.timestamp_ms, seq=old.seq, seed=seed)
+        append_store(self.path, again)
+        self.acked.append(again)
+        self.state = telemetry._ServiceState(self.path)
+
+    @rule(node=st.sampled_from(_MODEL_NODES), data=st.data())
+    def torn_append(self, node, data):
+        line = encode_record(_record(node=node, seq=10**6))
+        self._restart(torn=line[: data.draw(st.integers(1, len(line)))])
+
+    @rule()
+    def restart(self):
+        self._restart()
+
+    @rule(node=st.sampled_from(_MODEL_NODES + ("node-unknown",)),
+          since=st.none() | st.integers(0, 40), limit=st.none() | st.integers(0, 6))
+    def query_node(self, node, since, limit):
+        want = _want(self.acked, node, since, limit)
+        assert self.state.query(node, since, limit) == [encode_record(r) for r in want]
+
+    @rule(since=st.none() | st.integers(0, 40), limit=st.none() | st.integers(0, 6))
+    def query_all(self, since, limit):
+        want = _want(self.acked, None, since, limit)
+        assert self.state.query(None, since, limit) == [encode_record(r) for r in want]
+
+    @rule()
+    def node_statuses(self):
+        want = [
+            telemetry.NodeStatus(node, max(r.timestamp_ms for r in mine), len(mine))
+            for node in sorted({r.node_id for r in self.acked})
+            for mine in [self._of(node)]
+        ]
+        assert self.state.node_statuses() == want
+
+    @rule()
+    def scan_like_report(self):
+        assert StoreIndex(scan_store(self.path)).node_statuses() == self.state.node_statuses()
+
+    @invariant()
+    def max_seq_per_node(self):
+        want = {}
+        for r in self.acked:
+            want[r.node_id] = max(want.get(r.node_id, -1), r.seq)
+        assert self.state.index.max_seq == want
+
+
+TestServiceStateMachine = ServiceStateMachine.TestCase
+TestServiceStateMachine.settings = settings(
+    derandomize=True, database=None, max_examples=40, stateful_step_count=30, deadline=None
+)
 
 
 # ----------------------------------------------------------------- emulator
