@@ -333,9 +333,10 @@ def cmd_emulate_node(args) -> int:
 
 def cmd_report(args) -> int:
     store = _in_path(args, "store", "telemetry.jsonl")
-    index = telemetry.StoreIndex(telemetry.scan_store(store))
-    per_label = Counter(r.label.value if r.label else "-" for r in index.records)
-    print(f"report: {len(index.records)} records, {len(index.by_node)} nodes")
+    records = telemetry.scan_store(store)
+    index = telemetry.StoreIndex(map(telemetry.record_key, records))
+    per_label = Counter(r.label.value if r.label else "-" for r in records)
+    print(f"report: {len(records)} records, {len(index.by_node)} nodes")
     for status in index.node_statuses():
         print(
             f"  node {status.node_id}: count={status.record_count} "

@@ -11,8 +11,10 @@ it as already delivered.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -101,9 +103,12 @@ def record_wire_dict(record: TelemetryRecord) -> dict:
     }
 
 
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps(separators=...)
+
+
 def encode_record(record: TelemetryRecord) -> bytes:
     """Canonical compact JSON, fixed key order, UTF-8."""
-    return json.dumps(record_wire_dict(record), separators=(",", ":")).encode("utf-8")
+    return _compact_json(record_wire_dict(record)).encode("utf-8")
 
 
 def _check_keys(obj: dict, required, allowed, prefix: str = "") -> None:
@@ -131,7 +136,7 @@ def decode_record(raw: bytes | str) -> TelemetryRecord:
             raise SchemaError("body", f"not valid UTF-8: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s 4300 digits
         raise SchemaError("body", f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("body", "top level must be an object")
@@ -185,21 +190,22 @@ def append_store(store_path, record: TelemetryRecord) -> None:
         raise StoreError(f"append to {store_path} failed: {exc}") from exc
 
 
-def _scan(store_path) -> tuple[list[TelemetryRecord], int]:
-    """Records of the newline-terminated lines, and the byte length they fill."""
+def _store_lines(store_path) -> tuple[list[bytes], int]:
+    """The newline-terminated lines, and the byte length they fill."""
     data = Path(store_path).read_bytes()
     end = data.rfind(b"\n") + 1
     if end < len(data):
         warnings.warn(
             f"skipping {len(data) - end} torn trailing bytes in {store_path}", stacklevel=3
         )
-    records = []
-    for lineno, line in enumerate(data[:end].split(b"\n")[:-1], start=1):
-        try:
-            records.append(decode_record(line))
-        except SchemaError as exc:
-            raise StoreError(f"{store_path} line {lineno}: {exc}") from exc
-    return records, end
+    return data[:end].split(b"\n")[:-1], end
+
+
+def _decode_line(store_path, lineno: int, line: bytes) -> TelemetryRecord:
+    try:
+        return decode_record(line)
+    except SchemaError as exc:
+        raise StoreError(f"{store_path} line {lineno}: {exc}") from exc
 
 
 def scan_store(store_path) -> list[TelemetryRecord]:
@@ -210,46 +216,98 @@ def scan_store(store_path) -> list[TelemetryRecord]:
     warning. A malformed line anywhere else means real corruption and raises
     :class:`StoreError`.
     """
-    return _scan(store_path)[0]
+    lines, _ = _store_lines(store_path)
+    return [_decode_line(store_path, lineno, line) for lineno, line in enumerate(lines, start=1)]
+
+
+def record_key(record: TelemetryRecord) -> tuple[str, int, int]:
+    """``(node_id, timestamp_ms, seq)``, what a :class:`StoreIndex` keeps of a record."""
+    return record.node_id, record.timestamp_ms, record.seq
+
+
+@functools.cache  # compiled on the first store open, not on every import
+def _line_pattern() -> re.Pattern:
+    """A store line as encode_record writes it, holding only values decode_record
+    accepts: no spaces, strings of printable ASCII without '"', '\\' or escapes,
+    and numbers no longer than a repr (17 integer digits, 20 fraction digits and
+    a 2-digit exponent at most), so that none overflows."""
+    text = rb"[ !#-\[\]-~]"
+    # "|)" in place of ")?": the pattern matches a line about a quarter faster
+    number = rb"(-?(?:0|[1-9][0-9]{0,16})(?:\.[0-9]{1,20}|)(?:[eE][-+]?[0-9]{1,2}|))"
+    return re.compile(
+        rb'\{"node_id":"(%s+)","timestamp_ms":([1-9][0-9]{0,18}),"seq":(0|[1-9][0-9]{0,18}),'
+        rb'"features":\{%s\},"label":(?:null|"(?:%s)"),"site":(?:null|"%s*")\}'
+        % (text, b",".join(b'"%s":%s' % (key.encode(), number) for key in WIRE_FEATURE_KEYS),
+           b"|".join(re.escape(c.value.encode()) for c in StructureClass), text)
+    )
+
+
+_FEATURE_GROUPS = slice(3, 3 + len(WIRE_FEATURE_KEYS))
+
+
+def _load(store_path, lines) -> tuple[list, list]:
+    """Each line's ``(node_id, timestamp_ms, seq)``, and what :func:`_served` reads: the
+    :func:`_line_pattern` match, or else the line, which ``decode_record`` has checked."""
+    keys, stored = [], []
+    fullmatch = _line_pattern().fullmatch
+    for lineno, line in enumerate(lines, start=1):
+        match = fullmatch(line)
+        if match:
+            keys.append((match[1].decode("ascii"), int(match[2]), int(match[3])))
+        else:
+            keys.append(record_key(_decode_line(store_path, lineno, line)))
+        stored.append(match or line)
+    return keys, stored
+
+
+def _served(stored: re.Match | bytes) -> bytes:
+    """``encode_record(decode_record(line))`` of a loaded line: the line itself when
+    the pattern matched it and json spells each of its numbers ("1.50", "-0") as it stands."""
+    if isinstance(stored, re.Match):
+        numbers = b"[" + b",".join(stored.groups()[_FEATURE_GROUPS]) + b"]"
+        if _compact_json(json.loads(numbers)).encode() == numbers:
+            return stored.string
+        stored = stored.string
+    return encode_record(decode_record(stored))
 
 
 class StoreIndex:
-    """Records in append order, each node's keys in order, and per-node max seq.
+    """Each record's line in append order, each node's keys in order, and per-node max seq.
 
     ``by_node[node]`` holds one ``(timestamp_ms, seq, position)`` key per
-    record, sorted; ``position`` indexes ``records`` and ``lines`` and breaks
-    ties in append order, as a stable sort by ``(timestamp_ms, seq)`` would.
+    record, sorted; ``position`` indexes ``lines`` and breaks ties in append
+    order, as a stable sort by ``(timestamp_ms, seq)`` would. It starts from
+    the :func:`record_key` of each record in the store and, to answer queries
+    about them, from what ``_load`` gives for their lines.
     """
 
-    def __init__(self, records=()):
-        self.records: list[TelemetryRecord] = []
+    def __init__(self, keys=(), stored=()):
+        self.stored = stored
         self.lines: list[bytes | None] = []  # encode_record of each record, None until needed
         self.by_node: dict[str, list[tuple[int, int, int]]] = {}
         self.max_seq: dict[str, int] = {}
-        for record in records:
-            self._append(record, None)
-        for keys in self.by_node.values():
-            keys.sort()  # one sort per node, linear when its timestamps run forward
+        for key in keys:
+            self._append(*key, None)
+        for node_keys in self.by_node.values():
+            node_keys.sort()  # one sort per node, linear when its timestamps run forward
 
-    def add(self, record: TelemetryRecord, line: bytes | None = None) -> None:
-        keys = self._append(record, line)
+    def add(self, record: TelemetryRecord, line: bytes) -> None:
+        keys = self._append(*record_key(record), line)
         insort(keys, keys.pop())  # the new key moves to its place
 
-    def _append(self, record: TelemetryRecord, line: bytes | None) -> list:
-        """Append ``record``, and its key to the end of its node's list; return that list."""
-        node = record.node_id
+    def _append(self, node: str, timestamp_ms: int, seq: int, line: bytes | None) -> list:
+        """Append a record's line, and its key to the end of its node's list; return that list."""
         keys = self.by_node.setdefault(node, [])
-        keys.append((record.timestamp_ms, record.seq, len(self.records)))
-        self.records.append(record)
+        keys.append((timestamp_ms, seq, len(self.lines)))
         self.lines.append(line)
-        self.max_seq[node] = max(self.max_seq.get(node, -1), record.seq)
+        self.max_seq[node] = max(self.max_seq.get(node, -1), seq)
         return keys
 
     def line(self, position: int) -> bytes:
-        """The canonical line of ``records[position]``, encoded at most once."""
+        """The canonical line of the record at ``position``, worked out at most once."""
         line = self.lines[position]
-        if line is None:  # loaded from the store: a scan does not encode, the first answer does
-            line = self.lines[position] = encode_record(self.records[position])
+        if line is None:  # loaded: an open does not check a line's spelling, its first answer does
+            line = self.lines[position] = _served(self.stored[position])
         return line
 
     def node_statuses(self) -> list[NodeStatus]:
@@ -276,8 +334,8 @@ class _ServiceState:
         self.store_path = store_path
         self.lock = threading.Lock()
         self.fail_writes = False  # fault-injection hook for tests/ops drills
-        records, end = _scan(store_path) if os.path.exists(store_path) else ([], 0)
-        self.index = StoreIndex(records)
+        lines, end = _store_lines(store_path) if os.path.exists(store_path) else ([], 0)
+        self.index = StoreIndex(*_load(store_path, lines))
         self._fh = open(store_path, "ab")  # positioned at the end of the file
         if self._fh.tell() > end:
             self._fh.truncate(end)
@@ -316,6 +374,15 @@ class _ServiceState:
         self._fh.close()
 
 
+# /records parameters; integers in ASCII digits, as for Content-Length (int()
+# would also take "+3", "1_001" and " 3 "), and no more digits than int() reads
+_QUERY_SPELLINGS = {
+    "node_id": (".+", "non-empty"),
+    "since_ms": ("-?[0-9]{1,4300}", "an integer"),
+    "limit": ("[0-9]{1,4300}", "a non-negative integer"),
+}
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # Buffered output: headers and body leave in one write. Two small writes
@@ -325,7 +392,7 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = REQUEST_TIMEOUT_S  # socket timeout: a stalled client cannot hold a thread
 
     def _send(self, status: int, payload: dict):
-        self._send_body(status, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+        self._send_body(status, _compact_json(payload).encode("utf-8"))
 
     def _send_body(self, status: int, body: bytes):
         self.send_response(status)
@@ -390,17 +457,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, {"nodes": [asdict(s) for s in statuses]})
             return
         if split.path == "/records":
-            params = urllib.parse.parse_qs(split.query)
-            try:
-                node_id = params["node_id"][0] if "node_id" in params else None
-                since_ms = int(params["since_ms"][0]) if "since_ms" in params else None
-                limit = int(params["limit"][0]) if "limit" in params else None
-            except ValueError:
-                self._send(400, {"error": "since_ms and limit must be integers"})
-                return
-            if limit is not None and limit < 0:
-                self._send(400, {"error": "limit must be >= 0"})
-                return
+            params = urllib.parse.parse_qs(split.query, keep_blank_values=True)
+            for name, (spelling, what) in _QUERY_SPELLINGS.items():
+                if name in params and not re.fullmatch(spelling, params[name][0], re.DOTALL):
+                    self._send(400, {"error": f"{name} must be {what}"})
+                    return
+            node_id = params["node_id"][0] if "node_id" in params else None
+            since_ms, limit = (int(params[k][0]) if k in params else None for k in ("since_ms", "limit"))
             lines = self.server.state.query(node_id, since_ms, limit)
             # each line is encode_record's output: the bytes of _send(200, {"records": [...]})
             self._send_body(200, b'{"records":[' + b",".join(lines) + b"]}")

@@ -1,6 +1,7 @@
 import gc
 import http.client
 import json
+import re
 import shutil
 import socket
 import tempfile
@@ -11,6 +12,7 @@ import urllib.parse
 import urllib.request
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from vibsense.telemetry import (
     decode_record,
     encode_record,
     node_emulator,
+    record_key,
     record_wire_dict,
     scan_store,
 )
@@ -199,6 +202,158 @@ def test_decode_rejects_an_integer_beyond_float64():
     assert exc_info.value.field == "features.num_peaks"
 
 
+def test_decode_rejects_an_integer_past_the_int_digit_limit():
+    # json.loads raises a plain ValueError here, which no handler caught
+    body = encode_record(_record()).replace(b'"seq":0', b'"seq":' + b"1" * 5000)
+    with pytest.raises(SchemaError) as exc_info:
+        decode_record(body)
+    assert exc_info.value.field == "body"
+
+
+# A store open reads a line through telemetry._line_pattern() when it matches
+# and through decode_record otherwise. Each number spelling below, JSON or not,
+# decode_record accepts or refuses; the fast path must refuse what it refuses,
+# and give the key and the answer it gives for what it accepts.
+_NUMBER_SPELLINGS = [
+    b"1e999", b"-1e999", b"1" * 401, b"1e100", b"2.5E-300", b"-0", b"1.50", b"1E5", b"1e05",
+    b"0.00012345678901234568", b"1" * 17, b"1" * 18, b"9" * 17 + b".5e99", b"-0.0", b"NaN",
+    b"Infinity", b"01", b"1.", b".5", b"+1", b"true", b'"1"',
+]
+_PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=12)
+_PLAIN = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='"\\'),
+                 min_size=1, max_size=12)  # strings the fast path reads
+_MODEST = st.floats(1e-90, 1e15) | st.floats(-1e15, -1e-90) | st.sampled_from([0.0, -0.0])
+
+
+def _respell(record, how, data):
+    """A store line for ``record``: encode_record's, or one spelled another way."""
+    wire = record_wire_dict(record)
+    if how == "number":
+        key = data.draw(st.sampled_from(WIRE_FEATURE_KEYS))
+        wire["features"][key] = 92233720.5  # a sentinel, swapped for the spelling
+        spelled = data.draw(st.sampled_from(_NUMBER_SPELLINGS))
+        return encode_record(_decoded(wire)).replace(b"92233720.5", spelled)
+    if how == "raw non-ASCII":
+        return json.dumps(wire, separators=(",", ":"), ensure_ascii=False).encode()
+    if how == "spaced":
+        return json.dumps(wire).encode()
+    if how == "reordered":
+        return json.dumps(dict(reversed(wire.items())), separators=(",", ":")).encode()
+    if how == "unknown label":
+        wire["label"] = "castle"
+    elif how == "no site":
+        del wire["site"]
+    return json.dumps(wire, separators=(",", ":")).encode()
+
+
+def _decoded(wire):
+    return decode_record(json.dumps(wire))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    node_id=_PLAIN | _PRINTABLE | st.text(min_size=1, max_size=12),
+    values=st.lists(_MODEST, min_size=12, max_size=12)
+    | st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**20), 10**20),
+        min_size=12,
+        max_size=12,
+    ),
+    label=st.sampled_from(list(StructureClass) + [None]),
+    site=st.none() | _PLAIN | st.text(max_size=12),
+    how=st.sampled_from(["canonical"] * 3 + ["number"] * 3
+                        + ["raw non-ASCII", "spaced", "reordered", "unknown label", "no site"]),
+    data=st.data(),
+)
+def test_store_open_fast_path_agrees_with_decode_record(node_id, values, label, site, how, data):
+    features = dict(zip(WIRE_FEATURE_KEYS, values))
+    wire = {"node_id": node_id, "timestamp_ms": 1_700_000_000_000, "seq": 7,
+            "features": features, "label": label and label.value, "site": site}
+    try:
+        record = _decoded(wire)
+    except SchemaError:  # an integer feature past float64
+        return
+    _check_fast_path(_respell(record, how, data))
+
+
+@pytest.mark.parametrize("spelled", _NUMBER_SPELLINGS)
+@pytest.mark.parametrize("key", ["mean", "num_peaks", "creast_factor"])
+def test_store_open_fast_path_reads_each_number_spelling(spelled, key):
+    line = encode_record(_record(label=StructureClass.FLYOVER, site="yard"))
+    key = key.encode()
+    _check_fast_path(re.sub(b'"%s":[^,}]+' % key, b'"%s":%s' % (key, spelled), line))
+
+
+def _check_fast_path(line):
+    """The store open's key and answer for ``line`` are decode_record's, or both refuse it."""
+    try:
+        want = decode_record(line)
+    except SchemaError:
+        assert telemetry._line_pattern().fullmatch(line) is None, line
+        with pytest.raises(StoreError, match=r"^s\.jsonl line 1: "):
+            telemetry._load("s.jsonl", [line])
+        return
+    (key,), (stored,) = telemetry._load("s.jsonl", [line])
+    assert key == record_key(want)
+    assert telemetry._served(stored) == encode_record(want)
+
+
+def _canonical_store(path, count):
+    records = [_record(node=f"node-{i % 7}", ts=1000 + i, seq=i, seed=i,
+                       label=list(StructureClass)[i % 5], site="yard" if i % 2 else None)
+               for i in range(count)]
+    path.write_bytes(b"".join(encode_record(r) + b"\n" for r in records))
+    return records
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(telemetry, name)
+    monkeypatch.setattr(telemetry, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_store_open_decodes_no_canonical_line(tmp_path, monkeypatch):
+    records = _canonical_store(tmp_path / "s.jsonl", 200)
+    decodes = _counting(monkeypatch, "decode_record")
+    state = telemetry._ServiceState(tmp_path / "s.jsonl")
+    try:
+        assert decodes == []
+        assert state.index.max_seq == {r.node_id: r.seq for r in records}  # seqs rise
+        assert state.query() == [encode_record(r) for r in records]
+    finally:
+        state.close()
+
+
+def test_first_answer_of_canonical_loaded_lines_encodes_nothing(tmp_path, monkeypatch):
+    records = _canonical_store(tmp_path / "s.jsonl", 200)
+    want = [
+        json.dumps({"records": [record_wire_dict(r) for r in _want(records, node)]},
+                   separators=(",", ":")).encode()
+        for node in ("node-3", None)
+    ]
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        encodes = _counting(monkeypatch, "encode_record")
+        for node, body in zip(("node-3", None), want):
+            query = "" if node is None else f"?node_id={node}"
+            with urllib.request.urlopen(srv.url + "/records" + query, timeout=10) as resp:
+                assert resp.read() == body
+    assert encodes == []
+
+
+def test_store_error_names_the_line_that_overflows(tmp_path):
+    path = tmp_path / "s.jsonl"
+    _canonical_store(path, 80)
+    lines = path.read_bytes().split(b"\n")
+    lines[56] = re.sub(rb'"skewness":[^,]+', b'"skewness":1e999', lines[56])
+    path.write_bytes(b"\n".join(lines))
+    message = f"{path} line 57: features.skewness: must be finite"
+    for open_store in (scan_store, telemetry._ServiceState, TelemetryServer):
+        with pytest.raises(StoreError) as exc_info:
+            open_store(path)
+        assert str(exc_info.value) == message
+
+
 def test_record_validation_direct():
     fv = _vector()
     with pytest.raises(SchemaError):
@@ -363,6 +518,24 @@ def test_server_unknown_paths_and_bad_params(tmp_path):
         assert _http("GET", srv.url + "/records?since_ms=abc")[0] == 400
         assert _http("GET", srv.url + "/records?limit=xyz")[0] == 400
         assert _http("GET", srv.url + "/records?limit=-1")[0] == 400
+
+
+def test_server_records_query_is_read_strictly(tmp_path):
+    # a blank node_id is not the all-nodes form, and integers are ASCII digits
+    # as for Content-Length: no "+", "_", spaces or other scripts' digits
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        assert _post(srv.url, _record(ts=1001))[0] == 201
+        for query in ["node_id=", "node_id", "since_ms=1_001", "since_ms=+1001", "since_ms=",
+                      "since_ms=--1", "limit=+3", "limit=%203%20", "limit=3_0", "limit=%D9%A3",
+                      "limit=-0", "node_id=node-a&limit=", "since_ms=" + "1" * 4301]:
+            status, payload = _http("GET", srv.url + "/records?" + query)
+            assert status == 400, query
+            assert payload["error"].split()[0] in ("node_id", "since_ms", "limit"), query
+        for query, count in [("since_ms=-5", 1), ("since_ms=1001", 1), ("since_ms=1002", 0),
+                             ("limit=03", 1), ("limit=0", 0), ("node_id=node-a", 1),
+                             ("node_id=node-a&since_ms=0001001", 1)]:
+            status, payload = _http("GET", srv.url + "/records?" + query)
+            assert (status, len(payload["records"])) == (200, count), query
 
 
 def _raw_request(port, request: bytes) -> tuple[bytes, dict]:
@@ -689,6 +862,25 @@ class ServiceStateMachine(RuleBasedStateMachine):
         self.acked.append(again)
         self.state = telemetry._ServiceState(self.path)
 
+    @rule(node=st.sampled_from(_MODEL_NODES), seed=st.integers(0, 3),
+          spelling=st.sampled_from(["spaced", "1.50"]))
+    def append_loose_line(self, node, seed, spelling):
+        # a line decode_record reads but encode_record does not write, so a
+        # restart mixes lines the pattern reads with lines decode_record reads
+        seq = max((r.seq for r in self._of(node)), default=-1) + 1
+        last = max((r.timestamp_ms for r in self._of(node)), default=1)
+        record = _record(node=node, ts=last + 1, seq=seq, seed=seed)
+        if spelling == "spaced":
+            line = json.dumps(record_wire_dict(record)).encode()
+        else:  # the pattern matches this line, but the answer must say 1.5
+            record = replace(record, features=replace(record.features, mean=1.5))
+            line = encode_record(record).replace(b'"mean":1.5,', b'"mean":1.50,')
+        self.state.close()
+        with open(self.path, "ab") as fh:
+            fh.write(line + b"\n")
+        self.acked.append(record)
+        self.state = telemetry._ServiceState(self.path)
+
     @rule(node=st.sampled_from(_MODEL_NODES), data=st.data())
     def torn_append(self, node, data):
         line = encode_record(_record(node=node, seq=10**6))
@@ -720,7 +912,8 @@ class ServiceStateMachine(RuleBasedStateMachine):
 
     @rule()
     def scan_like_report(self):
-        assert StoreIndex(scan_store(self.path)).node_statuses() == self.state.node_statuses()
+        index = StoreIndex(map(record_key, scan_store(self.path)))
+        assert index.node_statuses() == self.state.node_statuses()
 
     @invariant()
     def max_seq_per_node(self):
