@@ -140,7 +140,7 @@ def _selected_columns(out: Path) -> tuple[np.ndarray, list[str]]:
     chosen_path = out / "selected_features.json"
     try:
         names = json.loads(chosen_path.read_text()) if chosen_path.exists() else []
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         names = None  # rejected below, like any content that is not a list of names
     if not isinstance(names, list) or any(name not in FEATURE_COLUMNS for name in names):
         raise ValueError(f"{chosen_path}: want a JSON list of names from {list(FEATURE_COLUMNS)}")
@@ -296,6 +296,8 @@ def cmd_fit_height(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:  # bind() raises OverflowError
+        raise ValueError(f"--port must be between 0 and 65535, got {args.port}")
     store = _in_path(args, "store", "telemetry.jsonl")
     Path(store).parent.mkdir(parents=True, exist_ok=True)
     server = telemetry.TelemetryServer(store, host=args.host, port=args.port)

@@ -215,22 +215,26 @@ def read_feature_csv(path):
 
     Labels come back as strings; empty cells as None. Raises ValueError on a
     header that does not match the canonical column order, or naming the line
-    of a cell that is not a number (or, for the peak count, not finite).
+    of a cell that is not a number (or, for the peak count, not finite) or
+    that csv cannot read.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADERS + [LABEL_HEADER]:
-            raise ValueError(f"unexpected header in {path}")
-        vectors, labels = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADERS) + 1:
-                raise ValueError(f"row with {len(row)} cells in {path}")
-            try:
-                vectors.append(FeatureVector.from_array([float(c) for c in row[:-1]]))
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
-            labels.append(row[-1] or None)
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADERS + [LABEL_HEADER]:
+                raise ValueError(f"unexpected header in {path}")
+            vectors, labels = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADERS) + 1:
+                    raise ValueError(f"row with {len(row)} cells in {path}")
+                try:
+                    vectors.append(FeatureVector.from_array([float(c) for c in row[:-1]]))
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+                labels.append(row[-1] or None)
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     return vectors, labels

@@ -136,7 +136,7 @@ def decode_record(raw: bytes | str) -> TelemetryRecord:
             raise SchemaError("body", f"not valid UTF-8: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s 4300 digits
+    except (ValueError, RecursionError) as exc:  # also an integer past 4300 digits, or deep nesting
         raise SchemaError("body", f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("body", "top level must be an object")
@@ -242,33 +242,21 @@ def _line_pattern() -> re.Pattern:
     )
 
 
-_FEATURE_GROUPS = slice(3, 3 + len(WIRE_FEATURE_KEYS))
-
-
 def _load(store_path, lines) -> tuple[list, list]:
-    """Each line's ``(node_id, timestamp_ms, seq)``, and what :func:`_served` reads: the
-    :func:`_line_pattern` match, or else the line, which ``decode_record`` has checked."""
-    keys, stored = [], []
+    """Each line's ``(node_id, timestamp_ms, seq)``, and what :meth:`StoreIndex.line` starts
+    from: the :func:`_line_pattern` match, or else the record ``decode_record`` made of it."""
+    keys, loaded = [], []
     fullmatch = _line_pattern().fullmatch
     for lineno, line in enumerate(lines, start=1):
         match = fullmatch(line)
         if match:
             keys.append((match[1].decode("ascii"), int(match[2]), int(match[3])))
+            loaded.append(match)
         else:
-            keys.append(record_key(_decode_line(store_path, lineno, line)))
-        stored.append(match or line)
-    return keys, stored
-
-
-def _served(stored: re.Match | bytes) -> bytes:
-    """``encode_record(decode_record(line))`` of a loaded line: the line itself when
-    the pattern matched it and json spells each of its numbers ("1.50", "-0") as it stands."""
-    if isinstance(stored, re.Match):
-        numbers = b"[" + b",".join(stored.groups()[_FEATURE_GROUPS]) + b"]"
-        if _compact_json(json.loads(numbers)).encode() == numbers:
-            return stored.string
-        stored = stored.string
-    return encode_record(decode_record(stored))
+            record = _decode_line(store_path, lineno, line)
+            keys.append(record_key(record))
+            loaded.append(record)
+    return keys, loaded
 
 
 class StoreIndex:
@@ -278,36 +266,44 @@ class StoreIndex:
     record, sorted; ``position`` indexes ``lines`` and breaks ties in append
     order, as a stable sort by ``(timestamp_ms, seq)`` would. It starts from
     the :func:`record_key` of each record in the store and, to answer queries
-    about them, from what ``_load`` gives for their lines.
+    about them, from what ``_load`` gives for their lines; an index that only
+    counts records can leave those out.
     """
 
-    def __init__(self, keys=(), stored=()):
-        self.stored = stored
-        self.lines: list[bytes | None] = []  # encode_record of each record, None until needed
+    def __init__(self, keys=(), lines=()):
+        # per record: its canonical line, or until its first answer checks that, what _load gave
+        self.lines: list[bytes | re.Match | TelemetryRecord] = list(lines)
         self.by_node: dict[str, list[tuple[int, int, int]]] = {}
         self.max_seq: dict[str, int] = {}
-        for key in keys:
-            self._append(*key, None)
+        for position, key in enumerate(keys):
+            self._add_key(*key, position)
         for node_keys in self.by_node.values():
             node_keys.sort()  # one sort per node, linear when its timestamps run forward
 
     def add(self, record: TelemetryRecord, line: bytes) -> None:
-        keys = self._append(*record_key(record), line)
+        keys = self._add_key(*record_key(record), len(self.lines))
+        self.lines.append(line)
         insort(keys, keys.pop())  # the new key moves to its place
 
-    def _append(self, node: str, timestamp_ms: int, seq: int, line: bytes | None) -> list:
-        """Append a record's line, and its key to the end of its node's list; return that list."""
+    def _add_key(self, node: str, timestamp_ms: int, seq: int, position: int) -> list:
+        """Append a key to the end of its node's list; return that list."""
         keys = self.by_node.setdefault(node, [])
-        keys.append((timestamp_ms, seq, len(self.lines)))
-        self.lines.append(line)
+        keys.append((timestamp_ms, seq, position))
         self.max_seq[node] = max(self.max_seq.get(node, -1), seq)
         return keys
 
     def line(self, position: int) -> bytes:
         """The canonical line of the record at ``position``, worked out at most once."""
         line = self.lines[position]
-        if line is None:  # loaded: an open does not check a line's spelling, its first answer does
-            line = self.lines[position] = _served(self.stored[position])
+        if isinstance(line, bytes):
+            return line
+        if isinstance(line, re.Match):  # the line itself if json spells its numbers so, not "1.50"
+            numbers = b"[" + b",".join(line.groups()[3:]) + b"]"  # the groups after node, time, seq
+            canonical = _compact_json(json.loads(numbers)).encode() == numbers
+            line = line.string if canonical else decode_record(line.string)
+        if isinstance(line, TelemetryRecord):
+            line = encode_record(line)
+        self.lines[position] = line
         return line
 
     def node_statuses(self) -> list[NodeStatus]:
@@ -331,7 +327,6 @@ class _ServiceState:
     """
 
     def __init__(self, store_path):
-        self.store_path = store_path
         self.lock = threading.Lock()
         self.fail_writes = False  # fault-injection hook for tests/ops drills
         lines, end = _store_lines(store_path) if os.path.exists(store_path) else ([], 0)
@@ -474,7 +469,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-class TelemetryServer:
+class TelemetryServer(ThreadingHTTPServer):
     """Threaded HTTP ingestion service over a JSON-lines store.
 
     Usage::
@@ -483,30 +478,25 @@ class TelemetryServer:
             post(server.url + "/ingest", ...)
 
     ``port=0`` binds an ephemeral port; read it back from ``server.port``.
+    ``serve_forever()`` serves in the calling thread; stop() does not end that loop.
     """
 
     def __init__(self, store_path, host: str = "127.0.0.1", port: int = 0):
-        self.store_path = store_path
-        state = _ServiceState(store_path)  # before binding: a bad store leaves no open socket
-        try:
-            self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        except OSError:
-            state.close()
-            raise
-        self._httpd.state = state
+        self.state = _ServiceState(store_path)  # before binding: a bad store leaves no open socket
         self._thread = None
-
-    @property
-    def state(self) -> _ServiceState:
-        return self._httpd.state
+        try:
+            super().__init__((host, port), _Handler)
+        except BaseException:  # OSError, or OverflowError for a port past 65535
+            self.state.close()
+            raise
 
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self.server_address[0]
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self.server_address[1]
 
     @property
     def url(self) -> str:
@@ -514,21 +504,17 @@ class TelemetryServer:
 
     def start(self) -> "TelemetryServer":
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": STOP_POLL_S}, daemon=True
+            target=self.serve_forever, kwargs={"poll_interval": STOP_POLL_S}, daemon=True
         )
         self._thread.start()
         return self
 
     def stop(self):
         if self._thread is not None:  # shutdown() waits for a serve loop to end
-            self._httpd.shutdown()
+            self.shutdown()
             self._thread.join()
-        self._httpd.server_close()
+        self.server_close()
         self.state.close()
-
-    def serve_forever(self):
-        """Serve in the calling thread until it is interrupted; stop() does not end this loop."""
-        self._httpd.serve_forever()
 
     def __enter__(self):
         return self.start()
@@ -579,6 +565,8 @@ def node_emulator(
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not 0 <= interval_s <= 86_400:  # NaN fails too; time.sleep overflows on 1e300 s
+        raise ValueError(f"interval_s must be between 0 and 86400 (a day), got {interval_s}")
     node_id = node_id or f"{profile.structure.value}-node"
     time_fn = time_fn or (lambda: int(time.time() * 1000))
     is_http = isinstance(endpoint, str) and endpoint.startswith(("http://", "https://"))
@@ -610,7 +598,7 @@ def node_emulator(
                 for attempt in range(MAX_RETRIES + 1):
                     try:
                         status = _post_once(url, body, POST_TIMEOUT_S)
-                    except (urllib.error.URLError, OSError):
+                    except OSError:  # urllib's URLError included
                         status = None  # transport failure
                     if status in (201, 409):
                         break

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -451,6 +454,56 @@ def test_report_totals_match_scan(tmp_path, capsys):
     assert f"report: {len(records)} records, 2 nodes" in out
     assert "label building: count=3" in out
     assert "label concrete_overbridge: count=2" in out
+
+
+def _features_with_a_long_cell(corpus_dir, tmp_path):
+    lines = (corpus_dir / "features.csv").read_text().splitlines(keepends=True)
+    lines[2] = "9" * 140_000 + lines[2]  # a cell longer than csv.field_size_limit()
+    (tmp_path / "features.csv").write_text("".join(lines))
+    return ["--features", "features.csv"], "features.csv line 3: "
+
+
+def _deeply_nested_selection(corpus_dir, tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "selected_features.json").write_text("[" * 5000)
+    return ["--features", str(corpus_dir / "features.csv"), "--out", "out"], "selected_features.json"
+
+
+def _store_with_a_deeply_nested_line(corpus_dir, tmp_path):
+    assert cli.main(["emulate-node", "--store", str(tmp_path / "s.jsonl"), "--count", "2"]) == 0
+    with open(tmp_path / "s.jsonl", "ab") as fh:
+        fh.write(b"[" * 5000 + b"\n")
+    return ["--store", "s.jsonl"], "s.jsonl line 3: body: "
+
+
+def _flags(*argv, where):
+    return lambda corpus_dir, tmp_path: (list(argv), where)
+
+
+@pytest.mark.parametrize(
+    "stage, make",
+    [
+        ("serve", _flags("--port", "70000", "--store", "s.jsonl", where="65535")),
+        ("serve", _flags("--port", "-1", "--store", "s.jsonl", where="65535")),
+        *[("emulate-node", _flags("--interval", value, "--store", "s.jsonl", where="interval"))
+          for value in ("inf", "1e300", "nan", "-1")],
+        ("select", _features_with_a_long_cell),
+        ("sweep-k", _deeply_nested_selection),
+        ("report", _store_with_a_deeply_nested_line),
+    ],
+    ids=["port 70000", "port -1", "interval inf", "interval 1e300", "interval nan",
+         "interval -1", "long csv cell", "nested selection", "nested store line"],
+)
+def test_a_hostile_input_exits_2_without_a_traceback(corpus_dir, tmp_path, stage, make):
+    argv, where = make(corpus_dir, tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "vibsense", stage, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"{stage}: ") and where in done.stderr, done.stderr
+    assert "Traceback" not in done.stderr
+    if stage in ("serve", "emulate-node"):  # refused before the store is opened
+        assert not (tmp_path / "s.jsonl").exists()
 
 
 # --------------------------------------------------------------- defaults

@@ -13,6 +13,7 @@ import urllib.request
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from http.server import ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -137,7 +138,8 @@ def test_round_trip_property(node_id, timestamp_ms, seq, values, label, site):
 
 def test_decode_rejects_truncated_and_malformed_bodies():
     encoded = encode_record(_record())
-    for raw in (encoded[:-7], b"\xff\xfe{", b"[1,2]", b"", b"null"):
+    # 5000 "[" make json.loads raise RecursionError, which no handler caught
+    for raw in (encoded[:-7], b"\xff\xfe{", b"[1,2]", b"", b"null", b"[" * 5000):
         with pytest.raises(SchemaError) as exc_info:
             decode_record(raw)
         assert exc_info.value.field == "body"
@@ -293,9 +295,9 @@ def _check_fast_path(line):
         with pytest.raises(StoreError, match=r"^s\.jsonl line 1: "):
             telemetry._load("s.jsonl", [line])
         return
-    (key,), (stored,) = telemetry._load("s.jsonl", [line])
-    assert key == record_key(want)
-    assert telemetry._served(stored) == encode_record(want)
+    keys, loaded = telemetry._load("s.jsonl", [line])
+    assert keys == [record_key(want)]
+    assert StoreIndex(keys, loaded).line(0) == encode_record(want)
 
 
 def _canonical_store(path, count):
@@ -352,6 +354,17 @@ def test_store_error_names_the_line_that_overflows(tmp_path):
         with pytest.raises(StoreError) as exc_info:
             open_store(path)
         assert str(exc_info.value) == message
+
+
+def test_store_error_names_the_line_nested_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "s.jsonl"
+    _canonical_store(path, 5)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"[" * 5000
+    path.write_bytes(b"\n".join(lines))
+    for open_store in (scan_store, telemetry._ServiceState, TelemetryServer):
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))} line 3: body: not valid JSON"):
+            open_store(path)
 
 
 def test_record_validation_direct():
@@ -497,9 +510,10 @@ def test_server_schema_errors_return_400(tmp_path):
         status, payload = _http("POST", srv.url + "/ingest", json.dumps(obj).encode())
         assert status == 400
         assert payload["field"] == "label"
-        status, payload = _http("POST", srv.url + "/ingest", b"{nope")
-        assert status == 400
-        assert payload["field"] == "body"
+        for body in (b"{nope", b"[" * 5000):
+            status, payload = _http("POST", srv.url + "/ingest", body)
+            assert status == 400
+            assert payload["field"] == "body"
     assert scan_store(tmp_path / "s.jsonl") == []
 
 
@@ -647,6 +661,22 @@ def test_server_on_a_corrupt_store_leaves_no_open_socket(tmp_path):
             TelemetryServer(path)
         gc.collect()
     assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("port", [70000, -1])
+def test_server_on_a_port_out_of_range_leaves_no_open_store(tmp_path, port):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError):
+            TelemetryServer(tmp_path / "s.jsonl", port=port)
+        gc.collect()
+    assert not [w for w in seen if issubclass(w.category, ResourceWarning)]
+
+
+def test_server_is_the_http_server_it_runs(tmp_path):
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        assert isinstance(srv, ThreadingHTTPServer)
+        assert srv.server_address == ("127.0.0.1", srv.port) and srv.port > 0
 
 
 def test_server_idle_stop_is_quick(tmp_path):
@@ -1042,3 +1072,11 @@ def test_emulator_count_validation(tmp_path):
     assert node_emulator(profile, str(tmp_path / "s.jsonl"), count=0) == []
     with pytest.raises(ValueError):
         node_emulator(profile, str(tmp_path / "s.jsonl"), count=-1)
+
+
+@pytest.mark.parametrize("interval", [float("inf"), 1e300, float("nan"), -1.0, 86_400.5])
+def test_emulator_refuses_an_interval_it_cannot_sleep_before_sending(tmp_path, interval):
+    profile = DEFAULT_PROFILES[StructureClass.BUILDING]
+    with pytest.raises(ValueError, match="^interval_s must be between 0 and 86400"):
+        node_emulator(profile, str(tmp_path / "s.jsonl"), interval_s=interval, count=1)
+    assert not (tmp_path / "s.jsonl").exists()
