@@ -113,6 +113,8 @@ class CnnHyperparams:
             value = getattr(self, axis)
             if type(value) is not type(legal[0]) or value not in legal:
                 raise ValueError(f"{axis} must be one of {legal}, got {value!r}")
+        if type(self.n_classes) is not int or self.n_classes < 1:
+            raise ValueError(f"n_classes must be a positive integer, got {self.n_classes!r}")
 
     def channel_counts(self) -> list[int]:
         return [2**r * self.base_filters for r in range(DEPTH)]
@@ -156,10 +158,6 @@ class CnnModel:
     input_std: np.ndarray
     class_names: list[str]
     history: TrainingHistory = field(default_factory=TrainingHistory)
-
-    @property
-    def input_len(self) -> int:
-        return len(self.input_mean)
 
 
 @dataclass(frozen=True)
@@ -248,13 +246,13 @@ def _conv_backward(d_out: np.ndarray, layer: ConvLayer, cache, need_dx: bool):
 def forward(model: CnnModel, batch: np.ndarray, return_cache: bool = False):
     """Class probabilities for a batch shaped (n, 12)."""
     x = np.asarray(batch, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.input_len:
-        raise ValueError(f"expected input shape (n, {model.input_len}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != INPUT_LEN:
+        raise ValueError(f"expected input shape (n, {INPUT_LEN}), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
 
     caches = []
-    a = x.reshape(len(x), model.input_len, 1)  # channels-last (n, L, C)
+    a = x.reshape(len(x), INPUT_LEN, 1)  # channels-last (n, L, C)
     for layer in model.conv_layers:
         a, cols = _conv_forward(a, layer)
         caches.append((cols, a))  # backward takes dW from cols and f'(z) from a
@@ -403,6 +401,9 @@ def train(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    for name, labels in (("ds", ds.labels), ("val", val.labels)):
+        if labels.min() < 0 or labels.max() >= hp.n_classes:
+            raise ValueError(f"{name} labels must lie in 0..n_classes-1 = {hp.n_classes - 1}")
     mean = ds.rows.mean(axis=0)
     std = ds.rows.std(axis=0)
     std[std == 0] = 1.0  # keep width 12: constant columns pass through centered
@@ -514,73 +515,67 @@ def grid_search(
     )
 
 
-CHECKPOINT_VERSION = 3  # v3 dropped the fixed settings and v2 the stride; v1 and v2 still load
+CHECKPOINT_VERSION = 4  # files of formats 1-3 no longer load
+_CHECKPOINT_KEYS = ("format_version", "hyperparams", "class_names", "input_mean", "input_std",
+                    "history", "parameters")
 
-# Keys v1/v2 files stored, in the hyperparameters or a conv layer, that now have one value
-_LEGACY_FIXED = {"elu_alpha": 1.0, "lr0": LR0, "decay_factor": DECAY_FACTOR,
-                 "patience": PATIENCE, "depth": DEPTH, "stride": 1}
+
+def _layout(model: CnnModel):
+    """What ``model.hp`` fixes, so a checkpoint does not store it."""
+    arrays = [*parameters(model), model.input_mean, model.input_std]
+    return [(a.shape, a.dtype) for a in arrays], [layer.activation for layer in model.conv_layers]
 
 
 def save_checkpoint(model: CnnModel, path) -> None:
-    """JSON checkpoint; reload reproduces predictions bit-exactly."""
+    """JSON: the hyperparameters, then each array of ``parameters(model)`` flat in row-major
+    order. A model whose layers ``model.hp`` does not describe is a ValueError, since its
+    file would reload as another model."""
+    if _layout(model) != _layout(init_model(model.hp, seed=0)):
+        raise ValueError(f"{path}: the model's layers are not those {model.hp} describes")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "hyperparams": asdict(model.hp),
         "class_names": model.class_names,
         "input_mean": model.input_mean.tolist(),
         "input_std": model.input_std.tolist(),
-        "conv_layers": [
-            {
-                "shape": list(layer.weights.shape),
-                "weights": layer.weights.ravel().tolist(),  # row-major
-                "bias": layer.bias.tolist(),
-                "activation": layer.activation,
-            }
-            for layer in model.conv_layers
-        ],
-        "dense": {
-            "shape": list(model.dense.weights.shape),
-            "weights": model.dense.weights.ravel().tolist(),
-            "bias": model.dense.bias.tolist(),
-        },
         "history": asdict(model.history),
+        "parameters": [p.ravel().tolist() for p in parameters(model)],
     }
     Path(path).write_text(json.dumps(payload))
 
 
+def _object(value, keys, where: str) -> dict:
+    if type(value) is not dict or value.keys() != set(keys):
+        raise ValueError(f"{where} must be an object with the keys {', '.join(keys)}")
+    return value
+
+
+def _list(values, where: str, size=None, kinds=(int, float)) -> list:
+    """``values`` if it is a JSON list of ``size`` items (None: any number), each of ``kinds``."""
+    if type(values) is not list or size not in (None, len(values)) \
+            or not set(map(type, values)) <= set(kinds):
+        names = ' or '.join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{where} must be a list of {size or 'any number of'} {names}")
+    return values
+
+
 def load_checkpoint(path) -> CnnModel:
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version not in (1, 2, CHECKPOINT_VERSION):
-        raise ValueError(f"unsupported checkpoint version {version}")
-    hyperparams = payload["hyperparams"]
-    if version < 3:
-        hyperparams.pop("epochs", None)  # a training-run length, not a model property
-        for fields in [hyperparams, *payload["conv_layers"]]:
-            for key, value in _LEGACY_FIXED.items():
-                got = fields.pop(key, value)
-                if got != value:
-                    raise ValueError(f"checkpoint {key} must be {value}, got {got}")
-    hp = CnnHyperparams(**hyperparams)
-    layers = [
-        ConvLayer(
-            weights=np.array(spec["weights"]).reshape(spec["shape"]),
-            bias=np.array(spec["bias"]),
-            activation=spec["activation"],
-        )
-        for spec in payload["conv_layers"]
-    ]
-    dense = DenseLayer(
-        weights=np.array(payload["dense"]["weights"]).reshape(payload["dense"]["shape"]),
-        bias=np.array(payload["dense"]["bias"]),
-    )
-    history = TrainingHistory(**payload["history"])
-    return CnnModel(
-        conv_layers=layers,
-        dense=dense,
-        hp=hp,
-        input_mean=np.array(payload["input_mean"]),
-        input_std=np.array(payload["input_std"]),
-        class_names=payload["class_names"],
-        history=history,
-    )
+    """The model of a :func:`save_checkpoint` file; ValueError, naming ``path``, for any other."""
+    try:  # bad JSON and bad UTF-8 raise ValueErrors
+        payload = _object(json.loads(Path(path).read_bytes()), _CHECKPOINT_KEYS, "a checkpoint")
+        if payload["format_version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"format_version must be {CHECKPOINT_VERSION}, not 1-3 or another")
+        hyperparams = _object(payload["hyperparams"], asdict(CnnHyperparams()), "hyperparams")
+        model = init_model(CnnHyperparams(**hyperparams), seed=0)
+        model.class_names = _list(payload["class_names"], "class_names", kinds=(str,))
+        history = _object(payload["history"], asdict(TrainingHistory()), "history")
+        model.history = TrainingHistory(**{k: _list(v, f"history.{k}") for k, v in history.items()})
+        arrays = [*parameters(model), model.input_mean, model.input_std]
+        values = [*_list(payload["parameters"], "parameters", len(arrays) - 2, (list,)),
+                  payload["input_mean"], payload["input_std"]]
+        where = [*(f"parameters[{i}]" for i in range(len(arrays) - 2)), "input_mean", "input_std"]
+        for a, v, w in zip(arrays, values, where):  # filled in place: they are the model's arrays
+            a[...] = np.fromiter(_list(v, w, a.size), float, a.size).reshape(a.shape)
+        return model
+    except (ValueError, RecursionError, OverflowError) as exc:  # nested too deep; a huge int
+        raise ValueError(f"{path}: {exc}") from exc

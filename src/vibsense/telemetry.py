@@ -397,6 +397,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self.wfile.flush()
 
+    def parse_request(self):
+        """http.server's parsing, then the framing rules of RFC 9112 6.1 for a request body."""
+        if not super().parse_request():
+            return False
+        # a body no handler reads would be taken for the next request, so its connection
+        # closes after the answer unless do_POST reads it
+        self._close_after_body = self.close_connection
+        self.close_connection |= self.command == "POST" or "Content-Length" in self.headers
+        if "Transfer-Encoding" not in self.headers:  # chunked is refused, not parsed (cf. 7.1)
+            return True
+        self.close_connection = True
+        status = 400 if "Content-Length" in self.headers else 411
+        self._send(status, {"error": "Transfer-Encoding is not supported", "field": "body"})
+        return False
+
     def do_POST(self):  # noqa: N802 (http.server API)
         if urllib.parse.urlsplit(self.path).path != "/ingest":
             self._send(404, {"error": "unknown path"})
@@ -405,7 +420,6 @@ class _Handler(BaseHTTPRequestHandler):
         raw = lengths.pop()  # a missing header reads as ""
         # RFC 9110 8.6: 1*DIGIT, so no sign or "_"; RFC 9112 6.3: values that differ are an error
         if lengths or not (raw.isascii() and raw.isdigit()):
-            self.close_connection = True  # the body's end is unknown
             self._send(
                 400, {"error": "Content-Length must be one non-negative integer", "field": "body"}
             )
@@ -413,15 +427,14 @@ class _Handler(BaseHTTPRequestHandler):
         # 9 significant digits already exceed MAX_BODY_BYTES, and int() refuses over 4300
         length = int(raw.lstrip("0")[:9] or 0)
         if length > MAX_BODY_BYTES:
-            self.close_connection = True  # the body is left unread
             self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes", "field": "body"})
             return
         try:
             body = self.rfile.read(length)
-        except TimeoutError:
-            self.close_connection = True  # the body's end never came
+        except TimeoutError:  # the body's end never came
             self._send(408, {"error": f"body incomplete after {self.timeout} s", "field": "body"})
             return
+        self.close_connection = self._close_after_body
         try:
             record = decode_record(body)
         except SchemaError as exc:

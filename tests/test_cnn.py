@@ -1,8 +1,15 @@
+import functools
 import json
+import re
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vibsense import cnn
 from vibsense.baselines import LabeledDataset
@@ -13,6 +20,7 @@ from vibsense.cnn import (
     ConvLayer,
     DenseLayer,
     PlateauScheduler,
+    TrainingHistory,
     adam_step,
     backward,
     cross_entropy,
@@ -131,6 +139,9 @@ def test_hyperparam_validation():
     for axis, value in [("batch_size", 100.0), ("kernel_length", True), ("base_filters", 4.0)]:
         with pytest.raises(ValueError, match=axis):
             CnnHyperparams(**{axis: value})
+    for n_classes in (0, -1, 5.0, True, "5"):
+        with pytest.raises(ValueError, match="n_classes"):
+            CnnHyperparams(n_classes=n_classes)
     # fixed settings are module constants, not fields: ELU alpha 1, stride 1
     with pytest.raises(TypeError):
         CnnHyperparams(elu_alpha=0.5)
@@ -432,6 +443,15 @@ def test_train_raises_on_divergence(monkeypatch):
         train(ds, HP_SMALL, seed=0, val=ds, epochs=1)
 
 
+@pytest.mark.parametrize("which", ["train", "val"])
+def test_train_refuses_labels_past_n_classes(which):
+    good, bad = _toy_dataset(n=20, seed=26, n_classes=2), _toy_dataset(n=20, seed=26, n_classes=5)
+    hp = CnnHyperparams(**{**vars(HP_SMALL), "n_classes": 2})
+    with pytest.raises(ValueError, match="n_classes"):
+        train(bad if which == "train" else good, hp, seed=0, val=bad if which == "val" else good,
+              epochs=1)
+
+
 def test_train_standardizes_constant_columns_safely():
     ds = _toy_dataset(n=20, seed=25)
     ds.rows[:, 3] = 42.0
@@ -570,85 +590,6 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded.input_mean, model.input_mean)
 
 
-# Settings formats 1 and 2 stored between ``activation`` and ``n_classes``, at
-# the values they had in every file those versions wrote, except ``epochs``.
-OLD_FORMAT_SETTINGS = dict(
-    elu_alpha=1.0, lr0=0.01, decay_factor=0.8, patience=10, epochs=1000, depth=5
-)
-
-
-def _as_old_checkpoint(path, version, layer_elu_alpha=1.0, **changes):
-    """Rewrite a checkpoint in format 1 or 2: add the old settings, then ``changes``.
-
-    Format 1 also stored ``stride`` after ``depth``; pass it in ``changes``.
-    Both formats stored an ``elu_alpha`` in each conv layer.
-    """
-    payload = json.loads(path.read_text())
-    payload["format_version"] = version
-    hp = payload["hyperparams"]
-    n_classes = hp.pop("n_classes")
-    hp.update(OLD_FORMAT_SETTINGS)
-    hp.update(changes, n_classes=n_classes)
-    for layer in payload["conv_layers"]:
-        layer["elu_alpha"] = layer_elu_alpha
-    path.write_text(json.dumps(payload))
-
-
-def _trained_checkpoint(path):
-    ds = _toy_dataset(n=20, seed=33)
-    hp = CnnHyperparams(batch_size=50, kernel_length=3, base_filters=4, n_classes=2)
-    model = train(ds, hp, seed=2, val=ds, epochs=2)
-    save_checkpoint(model, path)
-    return model
-
-
-def _assert_same_model(loaded, model):
-    rows = np.random.default_rng(34).normal(size=(16, 12))
-    assert np.array_equal(forward(model, rows), forward(loaded, rows))
-    assert loaded.hp == model.hp
-    assert loaded.history == model.history
-
-
-def test_checkpoint_v1_with_stride_1_loads_bit_exactly(tmp_path):
-    path = tmp_path / "model.json"
-    model = _trained_checkpoint(path)
-    _as_old_checkpoint(path, 1, stride=1)
-    _assert_same_model(load_checkpoint(path), model)
-
-
-def test_checkpoint_v1_with_another_stride_is_rejected(tmp_path):
-    path = tmp_path / "model.json"
-    save_checkpoint(init_model(HP_SMALL, seed=35), path)
-    _as_old_checkpoint(path, 1, stride=2)
-    with pytest.raises(ValueError, match="stride"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_v2_loads_bit_exactly_and_ignores_its_epochs(tmp_path):
-    path = tmp_path / "model.json"
-    model = _trained_checkpoint(path)
-    _as_old_checkpoint(path, 2, epochs=3)
-    assert json.loads(path.read_text())["hyperparams"]["lr0"] == 0.01
-    _assert_same_model(load_checkpoint(path), model)
-
-
-@pytest.mark.parametrize(
-    "key, changes",
-    [
-        ("lr0", {"lr0": 0.001}),
-        ("depth", {"depth": 4}),
-        ("patience", {"patience": 3}),
-        ("elu_alpha", {"layer_elu_alpha": 0.5}),
-    ],
-)
-def test_checkpoint_v2_with_another_fixed_setting_is_rejected(tmp_path, key, changes):
-    path = tmp_path / "model.json"
-    save_checkpoint(init_model(HP_SMALL, seed=35), path)
-    _as_old_checkpoint(path, 2, **changes)
-    with pytest.raises(ValueError, match=key):
-        load_checkpoint(path)
-
-
 def test_checkpoint_with_an_off_grid_type_is_rejected(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(init_model(HP_SMALL, seed=35), path)
@@ -668,3 +609,185 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _small_model():
+    """A q=4 model with every checkpoint field set: weights, input scaling, two epochs."""
+    model = init_model(HP_SMALL, seed=35, class_names=["a", "b", "c", "d", "e"])
+    rng = np.random.default_rng(36)
+    for p in parameters(model):
+        p[...] = rng.normal(size=p.shape)
+    model.input_mean, model.input_std = rng.normal(size=12), rng.uniform(0.5, 2.0, size=12)
+    model.history = TrainingHistory([0.01, 0.01], [1.6, 1.2], [0.4, 0.6], [0.5, 0.75])
+    return model
+
+
+def _format_3(model) -> dict:
+    """What the format-3 writer made of ``model``: each layer's shape, weights and activation."""
+    return {
+        "format_version": 3,
+        "hyperparams": asdict(model.hp),
+        "class_names": model.class_names,
+        "input_mean": model.input_mean.tolist(),
+        "input_std": model.input_std.tolist(),
+        "conv_layers": [
+            {"shape": list(layer.weights.shape), "weights": layer.weights.ravel().tolist(),
+             "bias": layer.bias.tolist(), "activation": layer.activation}
+            for layer in model.conv_layers
+        ],
+        "dense": {"shape": list(model.dense.weights.shape),
+                  "weights": model.dense.weights.ravel().tolist(),
+                  "bias": model.dense.bias.tolist()},
+        "history": asdict(model.history),
+    }
+
+
+def test_checkpoint_holds_the_hyperparams_and_each_parameter_array_flat(tmp_path):
+    model = _small_model()
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    assert list(payload) == ["format_version", "hyperparams", "class_names", "input_mean",
+                             "input_std", "history", "parameters"]
+    assert payload["format_version"] == 4
+    assert payload["hyperparams"] == asdict(HP_SMALL)
+    assert payload["parameters"] == [p.ravel().tolist() for p in parameters(model)]
+
+
+def test_save_refuses_a_model_its_hyperparams_do_not_describe(tmp_path):
+    path = tmp_path / "model.json"
+    for change in (
+        lambda m: setattr(m.conv_layers[2], "activation", "relu"),
+        lambda m: m.conv_layers.pop(),
+        lambda m: setattr(m.dense, "bias", np.zeros(4)),
+        lambda m: setattr(m.conv_layers[0], "weights", m.conv_layers[0].weights.astype(np.float32)),
+        lambda m: setattr(m, "input_std", np.ones(5)),
+    ):
+        model = _small_model()
+        change(model)
+        with pytest.raises(ValueError, match="describes"):
+            save_checkpoint(model, path)
+        assert not path.exists()
+
+
+HOSTILE_CHECKPOINTS = {
+    "empty list": lambda payload, model: "[]",
+    "5000 open brackets": lambda payload, model: "[" * 5000,
+    "no parameters": lambda payload, model: json.dumps(
+        {k: v for k, v in payload.items() if k != "parameters"}),
+    "format 3": lambda payload, model: json.dumps(_format_3(model)),
+    "another base_filters": lambda payload, model: json.dumps(
+        {**payload, "hyperparams": {**payload["hyperparams"], "base_filters": 8}}),
+    "input_mean of 5": lambda payload, model: json.dumps(
+        {**payload, "input_mean": payload["input_mean"][:5]}),
+}
+
+
+@pytest.mark.parametrize("damage", HOSTILE_CHECKPOINTS)
+def test_checkpoint_loader_refuses_a_hostile_file_naming_its_path(tmp_path, damage):
+    model = _small_model()
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    path.write_text(HOSTILE_CHECKPOINTS[damage](json.loads(path.read_text()), model))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+def _json_paths(value, path=()):
+    """Each place in a JSON value, visiting only the first and last item of a list."""
+    yield path
+    if isinstance(value, dict):
+        keys = list(value)
+    else:
+        keys = sorted({0, len(value) - 1}) if isinstance(value, list) and value else []
+    for key in keys:
+        yield from _json_paths(value[key], (*path, key))
+
+
+def _json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@functools.cache
+def _small_checkpoint_text() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(_small_model(), Path(tmp) / "model.json")
+        return (Path(tmp) / "model.json").read_text()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _damaged(damage, where, amount, value) -> str:
+    """The small checkpoint's text after one ``damage`` at the JSON path ``where``."""
+    text = _small_checkpoint_text()
+    if damage == "truncate":
+        return text[: amount % len(text)]
+    root = {"": json.loads(text)}  # a parent for the top level
+    nodes = [root[""]]
+    for key in where:
+        nodes.append(nodes[-1][key])
+    parent, key = (nodes[-2], where[-1]) if where else (root, "")
+    target = nodes[-1]
+    if damage == "drop" and where:
+        del parent[key]
+    elif damage == "swap":  # a value of another JSON type: ``value``, or else null or 0
+        parent[key] = next(v for v in (value, None, 0) if _json_kind(v) != _json_kind(target))
+    elif damage == "resize":  # the innermost list on the path gets ``amount`` % (2n + 3) items
+        items = next((node for node in reversed(nodes) if isinstance(node, list)), None)
+        if items is not None:
+            size = amount % (2 * len(items) + 3)
+            size += size == len(items)
+            items[size:] = []
+            items += [items[-1] if items else value] * (size - len(items))
+    elif damage == "wrap":  # in 1 + ``amount`` lists, written out by hand past json's depth limit
+        parent[key] = marker = "\x00wrapped\x00"
+        nested = "[" * (1 + amount) + json.dumps(target) + "]" * (1 + amount)
+        return json.dumps(root[""]).replace(json.dumps(marker), nested)
+    return json.dumps(root[""])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    damage=st.sampled_from(["drop", "swap", "resize", "wrap", "truncate"]),
+    # every place in the small checkpoint, found when the first example is drawn
+    where=st.deferred(lambda: st.sampled_from(list(_json_paths(json.loads(
+        _small_checkpoint_text()))))),
+    amount=st.integers(0, 5000),
+    value=JSON_VALUES,
+)
+# files the format-3 loader failed on: a KeyError, an AttributeError, a scalar bias broadcast
+# over its layer, a RecursionError, an input_mean of 5 loaded without a word
+@example(damage="drop", where=("parameters",), amount=0, value=None)
+@example(damage="swap", where=(), amount=0, value=[])
+@example(damage="swap", where=("parameters", 11), amount=0, value=7)
+@example(damage="wrap", where=("history",), amount=4999, value=None)
+@example(damage="resize", where=("input_mean",), amount=5, value=None)
+# files that pass size checks alone: numpy reads true as 1.0, null as NaN and "1.5" as 1.5,
+# and init_model raises a TypeError for a string n_classes
+@example(damage="swap", where=("parameters", 0, 0), amount=0, value=True)
+@example(damage="swap", where=("input_std", 0), amount=0, value=None)
+@example(damage="swap", where=("parameters", 1, 0), amount=0, value="1.5")
+@example(damage="swap", where=("hyperparams", "n_classes"), amount=0, value="x")
+@example(damage="truncate", where=(), amount=100, value=None)
+def test_damaged_checkpoint_loads_as_the_same_model_or_raises_value_error(
+    damage, where, amount, value
+):
+    model = _small_model()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(_damaged(damage, where, amount, value))
+        try:
+            loaded = load_checkpoint(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+    rows = np.random.default_rng(37).normal(size=(8, 12))
+    assert np.array_equal(forward(loaded, rows), forward(model, rows))
+    assert np.array_equal(loaded.input_mean, model.input_mean)
+    assert np.array_equal(loaded.input_std, model.input_std)

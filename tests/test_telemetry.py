@@ -563,7 +563,8 @@ def _raw_request(port, request: bytes) -> tuple[bytes, dict]:
     return head.split(b"\r\n")[0], json.loads(body)
 
 
-_BODY_LENGTH = len(encode_record(_record()))
+_RECORD_BODY = encode_record(_record())
+_BODY_LENGTH = len(_RECORD_BODY)
 
 
 @pytest.mark.parametrize(
@@ -650,6 +651,43 @@ def test_server_keep_alive_requests_are_not_delayed(tmp_path):
         finally:
             conn.close()
     assert sorted(times)[len(times) // 2] < 0.010
+
+
+def _exchange(port, request: bytes) -> tuple[list[bytes], bool]:
+    """Send raw bytes; the status codes answered within 2 s, and whether the server closed."""
+    reply, closed = b"", True
+    with socket.create_connection(("127.0.0.1", port), timeout=2) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except TimeoutError:
+            closed = False
+    return re.findall(rb"^HTTP/1\.1 (\d{3}) ", reply, re.MULTILINE), closed
+
+
+# a complete request of its own, sent as the body of another
+_INNER_REQUEST = b"GET /records?node_id=zz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.mark.parametrize("target, status", [(b"GET /nodes", b"200"), (b"POST /nope", b"404")])
+def test_server_answers_a_body_it_does_not_read_once_and_closes(tmp_path, target, status):
+    head = b"%s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % (target, len(_INNER_REQUEST))
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        assert _exchange(srv.port, head + _INNER_REQUEST) == ([status], True)
+
+
+@pytest.mark.parametrize(
+    "framing, body, status",
+    [(b"Content-Length: %d\r\n" % _BODY_LENGTH, _RECORD_BODY, b"400"),  # framed either way
+     (b"", b"%x\r\n%s\r\n0\r\n\r\n" % (len(_RECORD_BODY), _RECORD_BODY), b"411")],
+    ids=["with Content-Length", "chunked only"],
+)
+def test_server_refuses_transfer_encoding_and_closes(tmp_path, framing, body, status):
+    head = b"POST /ingest HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n" + framing
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        assert _exchange(srv.port, head + b"\r\n" + body) == ([status], True)
+        assert _http("GET", srv.url + "/records")[1] == {"records": []}
 
 
 def test_server_on_a_corrupt_store_leaves_no_open_socket(tmp_path):
