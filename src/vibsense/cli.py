@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Every subcommand writes byte-identical artifacts for identical inputs and
-seed; failures exit nonzero with a message naming the stage.
+seed; failures exit nonzero with a message naming the stage. Each imports
+the modules it runs when it runs, so `serve` and `report` start without numpy.
 """
 
 from __future__ import annotations
@@ -13,29 +14,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
-from . import baselines, cnn, heightfit, selection, svgplots, telemetry
 from .errors import VibsenseError
-from .features import (
-    FEATURE_COLUMNS,
-    FLATNESS_THRESHOLD,
-    FeatureVector,
-    extract_feature_matrix,
-    read_feature_csv,
-    spectral_profiles,
-    table_text,
-    write_feature_csv,
-)
-from .signalsim import (
-    DEFAULT_PROFILES,
-    REFERENCE_LAWS,
-    StructureClass,
-    building_series,
-    read_window_csv,
-    simulate_corpus,
-    write_window_csv,
-)
+from .schema import DEFAULT_GRIDS, EPOCHS, FEATURE_COLUMNS, CnnHyperparams, StructureClass
 
 
 def _out_dir(args) -> Path:
@@ -50,7 +30,10 @@ def _in_path(args, name, relative) -> Path:
     return Path(value) if value is not None else Path(args.out) / relative
 
 
-def _load_dataset(args) -> baselines.LabeledDataset:
+def _load_dataset(args):
+    from . import baselines
+    from .features import read_feature_csv
+
     path = _in_path(args, "features", "features.csv")
     vectors, labels = read_feature_csv(path)
     if any(lbl is None for lbl in labels):
@@ -61,6 +44,8 @@ def _load_dataset(args) -> baselines.LabeledDataset:
 
 
 def cmd_simulate(args) -> int:
+    from .signalsim import DEFAULT_PROFILES, simulate_corpus, write_window_csv
+
     out = _out_dir(args)
     wanted = map(StructureClass.from_name, args.classes or [])  # none: all five classes
     windows = simulate_corpus(args.count, {c: DEFAULT_PROFILES[c] for c in wanted}, seed=args.seed)
@@ -86,6 +71,8 @@ _EXTRACT_BATCH = 4096
 
 def _per_window(kernel, windows) -> list:
     """``kernel``'s row for each window, one call per batch of equal-length windows."""
+    import numpy as np
+
     batches = {}  # windows of one length stack into one call; a corpus has one length
     for i, window in enumerate(windows):
         batches.setdefault((len(window), i // _EXTRACT_BATCH), []).append(i)
@@ -96,6 +83,9 @@ def _per_window(kernel, windows) -> list:
 
 
 def cmd_extract(args) -> int:
+    from .features import FeatureVector, extract_feature_matrix, write_feature_csv
+    from .signalsim import read_window_csv
+
     out = _out_dir(args)
     windows = [read_window_csv(path) for path in _window_files(args)]
     vectors = [FeatureVector.from_array(row) for row in _per_window(extract_feature_matrix, windows)]
@@ -107,6 +97,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_spectral_check(args) -> int:
+    from .features import FLATNESS_THRESHOLD, spectral_profiles, table_text
+    from .signalsim import read_window_csv
+
     out = _out_dir(args)
     files = _window_files(args)
     reports = _per_window(spectral_profiles, [read_window_csv(path) for path in files])
@@ -122,6 +115,8 @@ def cmd_spectral_check(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from . import selection
+
     out = _out_dir(args)
     if args.correlations:
         report = selection.read_correlation_csv(Path(args.correlations).read_text())
@@ -135,8 +130,10 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _selected_columns(out: Path) -> tuple[np.ndarray, list[str]]:
+def _selected_columns(out: Path):
     """Column mask and names from a previous `select` run; all columns without one or for []."""
+    import numpy as np
+
     chosen_path = out / "selected_features.json"
     try:
         names = json.loads(chosen_path.read_text()) if chosen_path.exists() else []
@@ -149,6 +146,8 @@ def _selected_columns(out: Path) -> tuple[np.ndarray, list[str]]:
 
 
 def cmd_train_knn(args) -> int:
+    from . import baselines, svgplots
+
     out = _out_dir(args)
     ds = _load_dataset(args)
     mask, names = _selected_columns(out)
@@ -177,6 +176,9 @@ def cmd_train_knn(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
+    from . import baselines
+    from .features import table_text
+
     out = _out_dir(args)
     ds = _load_dataset(args)
     mask, _ = _selected_columns(out)
@@ -188,6 +190,8 @@ def cmd_sweep_k(args) -> int:
 
 
 def _save_k_curve(curve: dict[int, float], path) -> None:
+    from . import svgplots
+
     ks = sorted(curve)
     svgplots.save_svg(
         svgplots.line_chart(
@@ -200,7 +204,9 @@ def _save_k_curve(curve: dict[int, float], path) -> None:
     )
 
 
-def _write_metrics(path, metrics: baselines.Metrics, classes) -> None:
+def _write_metrics(path, metrics, classes) -> None:
+    from .features import table_text
+
     rows = [
         *zip([c.value for c in classes], metrics.precision, metrics.recall, metrics.f1),
         ["macro", metrics.macro_precision, metrics.macro_recall, metrics.macro_f1],
@@ -209,7 +215,9 @@ def _write_metrics(path, metrics: baselines.Metrics, classes) -> None:
     Path(path).write_text(table_text(["class", "precision", "recall", "f1"], rows))
 
 
-def _write_history_csv(path, history: cnn.TrainingHistory) -> None:
+def _write_history_csv(path, history) -> None:
+    from .features import table_text
+
     columns = dataclasses.asdict(history)
     rows = [(epoch, *row) for epoch, row in enumerate(zip(*columns.values()), start=1)]
     Path(path).write_text(table_text(["epoch", *columns], rows))
@@ -221,9 +229,11 @@ _REDUCED_GRID = {"batch_size": [100], "kernel_length": [3], "base_filters": [4, 
 
 
 def cmd_train_cnn(args) -> int:
+    from . import baselines, cnn
+
     out = _out_dir(args)
     ds = _load_dataset(args)
-    hp = cnn.CnnHyperparams(**{axis: getattr(args, axis) for axis in cnn.DEFAULT_GRIDS})
+    hp = CnnHyperparams(**{axis: getattr(args, axis) for axis in DEFAULT_GRIDS})
     train_ds, val_ds, test_ds = baselines.split(
         ds, (0.7, 0.1, 0.2), seed=args.seed, stratified=True
     )
@@ -239,7 +249,7 @@ def cmd_train_cnn(args) -> int:
     return 0
 
 
-def _hp_str(hp: cnn.CnnHyperparams) -> str:
+def _hp_str(hp: CnnHyperparams) -> str:
     return (
         f"batch={hp.batch_size} K={hp.kernel_length} q={hp.base_filters} "
         f"act={hp.activation}"
@@ -247,17 +257,20 @@ def _hp_str(hp: cnn.CnnHyperparams) -> str:
 
 
 def cmd_grid_search(args) -> int:
+    from . import cnn
+    from .features import table_text
+
     out = _out_dir(args)
     result = cnn.grid_search(
         _load_dataset(args), grids=_REDUCED_GRID if args.reduced_grid else None,
         folds=args.folds, seed=args.seed, epochs=args.epochs,
     )
     rows = [
-        (rank, *(getattr(hp, key) for key in cnn.DEFAULT_GRIDS), score)
+        (rank, *(getattr(hp, key) for key in DEFAULT_GRIDS), score)
         for rank, (hp, score) in enumerate(result.ranked, start=1)
     ]
     (out / "grid_ranking.csv").write_text(
-        table_text(["rank", *cnn.DEFAULT_GRIDS, "mean_cv_accuracy"], rows)
+        table_text(["rank", *DEFAULT_GRIDS, "mean_cv_accuracy"], rows)
     )
     for key, pairs in result.marginals.items():
         (out / f"grid_marginal_{key}.csv").write_text(table_text([key, "mean_cv_accuracy"], pairs))
@@ -269,6 +282,9 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_fit_height(args) -> int:
+    from . import heightfit, svgplots
+    from .signalsim import REFERENCE_LAWS, building_series
+
     out = _out_dir(args)
     lines = []
     for idx, (name, law) in enumerate(sorted(REFERENCE_LAWS.items())):
@@ -298,6 +314,8 @@ def cmd_fit_height(args) -> int:
 def cmd_serve(args) -> int:
     if not 0 <= args.port <= 65535:  # bind() raises OverflowError
         raise ValueError(f"--port must be between 0 and 65535, got {args.port}")
+    from . import telemetry
+
     store = _in_path(args, "store", "telemetry.jsonl")
     Path(store).parent.mkdir(parents=True, exist_ok=True)
     server = telemetry.TelemetryServer(store, host=args.host, port=args.port)
@@ -310,6 +328,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_emulate_node(args) -> int:
+    from . import telemetry
+    from .signalsim import DEFAULT_PROFILES
+
     endpoint = args.endpoint if args.endpoint is not None else args.store
     if endpoint is None:
         raise ValueError("emulate-node needs --endpoint (URL) or --store (dry-run file)")
@@ -334,6 +355,8 @@ def cmd_emulate_node(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import telemetry
+
     store = _in_path(args, "store", "telemetry.jsonl")
     records = telemetry.scan_store(store)
     index = telemetry.StoreIndex(map(telemetry.record_key, records))
@@ -389,15 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train-cnn", cmd_train_cnn, "train the 1D CNN")
     p.add_argument("--features", default=None)
-    p.add_argument("--epochs", type=int, default=cnn.EPOCHS)
-    paper = cnn.CnnHyperparams()
-    for axis in cnn.DEFAULT_GRIDS:
+    p.add_argument("--epochs", type=int, default=EPOCHS)
+    paper = CnnHyperparams()
+    for axis in DEFAULT_GRIDS:
         default = getattr(paper, axis)
         p.add_argument("--" + axis.replace("_", "-"), type=type(default), default=default)
 
     p = command("grid-search", cmd_grid_search, "hyperparameter grid with CV")
     p.add_argument("--features", default=None)
-    p.add_argument("--epochs", type=int, default=cnn.EPOCHS)
+    p.add_argument("--epochs", type=int, default=EPOCHS)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--reduced-grid", action="store_true")
 

@@ -24,6 +24,7 @@ fixed (seed, hyperparams, dataset).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
@@ -32,21 +33,12 @@ import numpy as np
 
 from .baselines import LabeledDataset, cv_folds
 from .errors import DivergenceError
-
-# The paper's grid: the legal values of each CnnHyperparams axis, in grid order.
-DEFAULT_GRIDS = {
-    "batch_size": [50, 100, 200, 400],
-    "kernel_length": [1, 2, 3, 4],
-    "base_filters": [4, 8, 16, 32],
-    "activation": ["relu", "elu", "tanh", "sigmoid"],
-}
+from .schema import DEFAULT_GRIDS, DEPTH, EPOCHS, CnnHyperparams  # noqa: F401 (cnn.DEPTH)
 
 INPUT_LEN = 12
-DEPTH = 5  # conv blocks
 LR0 = 1e-2
 DECAY_FACTOR = 0.8
 PATIENCE = 10
-EPOCHS = 1000
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -100,26 +92,6 @@ _ACTIVATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CnnHyperparams:
-    batch_size: int = 100
-    kernel_length: int = 3
-    base_filters: int = 32
-    activation: str = "elu"
-    n_classes: int = 5
-
-    def __post_init__(self):
-        for axis, legal in DEFAULT_GRIDS.items():
-            value = getattr(self, axis)
-            if type(value) is not type(legal[0]) or value not in legal:
-                raise ValueError(f"{axis} must be one of {legal}, got {value!r}")
-        if type(self.n_classes) is not int or self.n_classes < 1:
-            raise ValueError(f"n_classes must be a positive integer, got {self.n_classes!r}")
-
-    def channel_counts(self) -> list[int]:
-        return [2**r * self.base_filters for r in range(DEPTH)]
-
-
 def layer_output_sizes(hp: CnnHyperparams) -> list[tuple[int, int]]:
     """(length, channels) per layer: DEPTH conv blocks, GAP, dense."""
     sizes = [(INPUT_LEN, c) for c in hp.channel_counts()]
@@ -167,24 +139,29 @@ class PredictionResult:
     class_name: str
 
 
+def _parameter_shapes(hp: CnnHyperparams) -> list[tuple[int, ...]]:
+    """The shape of each array of :func:`parameters` in a model of ``hp``."""
+    shapes, c_in = [], 1
+    for c_out in hp.channel_counts():
+        shapes += [(c_out, c_in, hp.kernel_length), (c_out,)]
+        c_in = c_out
+    return shapes + [(c_in, hp.n_classes), (hp.n_classes,)]
+
+
 def init_model(hp: CnnHyperparams, seed: int, class_names=None) -> CnnModel:
     """Fan-in-scaled uniform weight init, zero biases, seeded."""
     rng = np.random.default_rng(seed)
+    shapes = _parameter_shapes(hp)
     layers = []
-    c_in = 1
-    for c_out in hp.channel_counts():
-        bound = np.sqrt(1.0 / (c_in * hp.kernel_length))
-        w = rng.uniform(-bound, bound, size=(c_out, c_in, hp.kernel_length))
-        layers.append(ConvLayer(w, np.zeros(c_out), hp.activation))
-        c_in = c_out
-    bound = np.sqrt(1.0 / c_in)
-    dense = DenseLayer(
-        rng.uniform(-bound, bound, size=(c_in, hp.n_classes)), np.zeros(hp.n_classes)
-    )
+    for w_shape, b_shape in zip(shapes[0::2], shapes[1::2]):
+        fan_in = w_shape[0] if len(w_shape) == 2 else w_shape[1] * w_shape[2]  # dense: (C_in, N)
+        bound = np.sqrt(1.0 / fan_in)
+        layers.append((rng.uniform(-bound, bound, size=w_shape), np.zeros(b_shape)))
+    *convs, dense = layers
     names = list(class_names) if class_names else [str(i) for i in range(hp.n_classes)]
     return CnnModel(
-        conv_layers=layers,
-        dense=dense,
+        conv_layers=[ConvLayer(w, b, hp.activation) for w, b in convs],
+        dense=DenseLayer(*dense),
         hp=hp,
         input_mean=np.zeros(INPUT_LEN),
         input_std=np.ones(INPUT_LEN),
@@ -566,16 +543,21 @@ def load_checkpoint(path) -> CnnModel:
         if payload["format_version"] != CHECKPOINT_VERSION:
             raise ValueError(f"format_version must be {CHECKPOINT_VERSION}, not 1-3 or another")
         hyperparams = _object(payload["hyperparams"], asdict(CnnHyperparams()), "hyperparams")
-        model = init_model(CnnHyperparams(**hyperparams), seed=0)
-        model.class_names = _list(payload["class_names"], "class_names", kinds=(str,))
+        hp = CnnHyperparams(**hyperparams)
+        class_names = _list(payload["class_names"], "class_names", kinds=(str,))
         history = _object(payload["history"], asdict(TrainingHistory()), "history")
-        model.history = TrainingHistory(**{k: _list(v, f"history.{k}") for k, v in history.items()})
-        arrays = [*parameters(model), model.input_mean, model.input_std]
-        values = [*_list(payload["parameters"], "parameters", len(arrays) - 2, (list,)),
+        history = TrainingHistory(**{k: _list(v, f"history.{k}") for k, v in history.items()})
+        shapes = [*_parameter_shapes(hp), (INPUT_LEN,), (INPUT_LEN,)]
+        values = [*_list(payload["parameters"], "parameters", len(shapes) - 2, (list,)),
                   payload["input_mean"], payload["input_std"]]
-        where = [*(f"parameters[{i}]" for i in range(len(arrays) - 2)), "input_mean", "input_std"]
-        for a, v, w in zip(arrays, values, where):  # filled in place: they are the model's arrays
-            a[...] = np.fromiter(_list(v, w, a.size), float, a.size).reshape(a.shape)
+        where = [*(f"parameters[{i}]" for i in range(len(shapes) - 2)), "input_mean", "input_std"]
+        for v, w, shape in zip(values, where, shapes):  # all of them before any array is made
+            _list(v, w, math.prod(shape))
+        model = init_model(hp, seed=0)
+        model.class_names, model.history = class_names, history
+        arrays = [*parameters(model), model.input_mean, model.input_std]
+        for a, v in zip(arrays, values):  # filled in place: they are the model's arrays
+            a[...] = np.fromiter(v, float, a.size).reshape(a.shape)
         return model
     except (ValueError, RecursionError, OverflowError) as exc:  # nested too deep; a huge int
         raise ValueError(f"{path}: {exc}") from exc

@@ -16,11 +16,12 @@ Conventions (fixed here, used everywhere else):
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError
+from .schema import FEATURE_COLUMNS, FeatureVector
 from .signalsim import RawWindow
 
 CSV_HEADERS = [
@@ -39,38 +40,6 @@ CSV_HEADERS = [
 ]
 
 LABEL_HEADER = "Type of structure"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 12 time-domain statistics of one window, in dataset column order."""
-
-    mean: float
-    mode: float
-    median: float
-    std_dev: float
-    max: float
-    min: float
-    rms: float
-    num_peaks: int
-    avg_peak_value: float
-    skewness: float
-    kurtosis: float
-    crest_factor: float
-
-    def as_array(self) -> np.ndarray:
-        """Values in :data:`FEATURE_COLUMNS` order."""
-        return np.array([getattr(self, name) for name in FEATURE_COLUMNS], dtype=float)
-
-    @classmethod
-    def from_array(cls, values) -> "FeatureVector":
-        kwargs = dict(zip(FEATURE_COLUMNS, map(float, values)))
-        kwargs["num_peaks"] = int(round(kwargs["num_peaks"]))
-        return cls(**kwargs)
-
-
-# Canonical CSV column order for feature tables (label column last).
-FEATURE_COLUMNS = [f.name for f in fields(FeatureVector)]
 
 
 @dataclass(frozen=True)

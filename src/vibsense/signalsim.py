@@ -11,30 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidSignalError, ProfileRangeError
-
-
-class StructureClass(Enum):
-    """The five structure categories, in canonical (encoding) order."""
-
-    BUILDING = "building"
-    FLYOVER = "flyover"
-    RAILLINE = "railline"
-    STEEL_OVERBRIDGE = "steel_overbridge"
-    CONCRETE_OVERBRIDGE = "concrete_overbridge"
-
-    @classmethod
-    def from_name(cls, name: str) -> "StructureClass":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ValueError(f"unknown structure class {name!r}") from None
+from .schema import StructureClass
 
 
 ORIENT_VERTICAL = "vertical"

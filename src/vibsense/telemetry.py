@@ -18,18 +18,19 @@ import re
 import sys
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import warnings
 from bisect import bisect_left, insort
 from dataclasses import MISSING, asdict, dataclass, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DeliveryError, SchemaError, StoreError
-from .features import FEATURE_COLUMNS, FeatureVector, extract_features
-from .signalsim import ClassProfile, StructureClass, synth_window
+from .schema import FEATURE_COLUMNS, FeatureVector, StructureClass
+
+if TYPE_CHECKING:
+    from .signalsim import ClassProfile
 
 # wire order follows the dataset column order; "creast_factor" is the
 # (sic) spelling used throughout the record schema
@@ -170,21 +171,33 @@ def decode_record(raw: bytes | str) -> TelemetryRecord:
 
 
 def _append_durable(fh, record: TelemetryRecord) -> bytes:
-    """Write one record line to ``fh``, flush and fsync; return the line, StoreError on failure."""
+    """Write one record line to the unbuffered ``fh`` and fsync it; return the line.
+
+    On a failed write or fsync the file is cut back to its old end, so that no
+    part of the line stays for a later append to complete, and StoreError is
+    raised.
+    """
     line = encode_record(record)
+    fd = fh.fileno()
+    end = os.lseek(fd, 0, os.SEEK_END)
     try:
-        fh.write(line + b"\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+        rest = memoryview(line + b"\n")
+        while rest:  # a short write (a full disk, a file size limit) writes the rest or fails
+            rest = rest[os.write(fd, rest) :]
+        os.fsync(fd)
     except OSError as exc:
+        try:
+            os.ftruncate(fd, end)
+        except OSError as cut:  # part of the line stays in the file
+            raise StoreError(f"append to {fh.name} failed: {exc}; cutting it off failed: {cut}")
         raise StoreError(f"append to {fh.name} failed: {exc}") from exc
     return line
 
 
 def append_store(store_path, record: TelemetryRecord) -> None:
-    """Durably append one record (write, flush, fsync)."""
+    """Durably append one record (write, fsync), or leave the store as it was."""
     try:
-        with open(store_path, "ab") as fh:
+        with open(store_path, "ab", buffering=0) as fh:
             _append_durable(fh, record)
     except OSError as exc:  # open or close; _append_durable raises StoreError itself
         raise StoreError(f"append to {store_path} failed: {exc}") from exc
@@ -328,10 +341,9 @@ class _ServiceState:
 
     def __init__(self, store_path):
         self.lock = threading.Lock()
-        self.fail_writes = False  # fault-injection hook for tests/ops drills
         lines, end = _store_lines(store_path) if os.path.exists(store_path) else ([], 0)
         self.index = StoreIndex(*_load(store_path, lines))
-        self._fh = open(store_path, "ab")  # positioned at the end of the file
+        self._fh = open(store_path, "ab", buffering=0)  # positioned at the end of the file
         if self._fh.tell() > end:
             self._fh.truncate(end)
             os.fsync(self._fh.fileno())
@@ -341,8 +353,6 @@ class _ServiceState:
         with self.lock:
             if record.seq <= self.index.max_seq.get(record.node_id, -1):
                 return "duplicate"
-            if self.fail_writes:
-                raise StoreError("storage failure injected")
             self.index.add(record, _append_durable(self._fh, record))
             return "stored"
 
@@ -537,6 +547,9 @@ class TelemetryServer(ThreadingHTTPServer):
 
 
 def _post_once(url: str, body: bytes, timeout: float) -> int:
+    import urllib.error
+    import urllib.request
+
     req = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}, method="POST"
     )
@@ -576,6 +589,9 @@ def node_emulator(
         400 (schema bug, retrying cannot help). ``delivered`` carries the
         number of records acknowledged before the abort.
     """
+    from .features import extract_features
+    from .signalsim import synth_window
+
     if count < 0:
         raise ValueError("count must be >= 0")
     if not 0 <= interval_s <= 86_400:  # NaN fails too; time.sleep overflows on 1e300 s

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import urllib.request
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -578,3 +581,64 @@ def test_the_classical_chain_writes_the_recorded_bytes(tmp_path):
     got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.rglob("*")) if p.is_file()}
     assert got == want
+
+
+# ------------------------------------------------------------------ imports
+
+
+def _vibsense_child(argv, cwd):
+    """A ``python -X importtime -m vibsense`` child; its import log goes to cwd/importtime.txt."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with open(cwd / "importtime.txt", "w") as log:
+        return subprocess.Popen([sys.executable, "-X", "importtime", "-m", "vibsense", *argv],
+                                cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=log, text=True)
+
+
+def _imported(cwd) -> set[str]:
+    lines = (cwd / "importtime.txt").read_text().splitlines()
+    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+
+
+def _imports_of(argv, cwd) -> set[str]:
+    child = _vibsense_child(argv, cwd)
+    out, _ = child.communicate(timeout=120)
+    assert child.returncode == 0, out
+    return _imported(cwd)
+
+
+def test_serve_and_report_start_without_numpy(tmp_path):
+    store = tmp_path / "s.jsonl"
+    assert cli.main(["emulate-node", "--store", str(store), "--count", "3"]) == 0
+    record = telemetry.scan_store(store)[-1]
+    with _vibsense_child(["serve", "--store", str(store), "--port", "0"], tmp_path) as child:
+        try:
+            url = re.search(r"listening on (\S+)", child.stdout.readline())[1]
+            body = telemetry.encode_record(dataclasses.replace(record, seq=record.seq + 1))
+            request = urllib.request.Request(url + "/ingest", data=body, method="POST")
+            with urllib.request.urlopen(request, timeout=10) as resp:
+                assert resp.status == 201
+            with urllib.request.urlopen(url + "/records", timeout=10) as resp:
+                assert len(json.loads(resp.read())["records"]) == 4
+        finally:
+            child.send_signal(signal.SIGINT)  # serve stops on KeyboardInterrupt and exits 0
+        assert child.wait(timeout=30) == 0
+    served = _imported(tmp_path)
+    assert "vibsense.telemetry" in served and "http.server" in served
+    assert "numpy" not in served
+    assert "numpy" not in _imports_of(["report", "--store", str(store)], tmp_path)
+
+
+@pytest.mark.parametrize("stage", ["fit-height", "extract"])
+def test_a_corpus_stage_imports_neither_the_cnn_nor_the_server(corpus_dir, tmp_path, stage):
+    argv = ["--floors", "2"] if stage == "fit-height" else ["--windows", str(corpus_dir / "windows")]
+    imported = _imports_of([stage, *argv, "--out", str(tmp_path)], tmp_path)
+    assert "vibsense.signalsim" in imported
+    assert not {"vibsense.cnn", "vibsense.telemetry", "http.server"} & imported
+
+
+def test_train_cnn_imports_no_telemetry(corpus_dir, tmp_path):
+    argv = ["train-cnn", "--features", str(corpus_dir / "features.csv"), "--epochs", "1",
+            "--base-filters", "4", "--out", str(tmp_path)]
+    imported = _imports_of(argv, tmp_path)
+    assert "vibsense.cnn" in imported
+    assert not {"vibsense.telemetry", "http.server"} & imported

@@ -2,6 +2,7 @@ import functools
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -691,6 +692,25 @@ def test_checkpoint_loader_refuses_a_hostile_file_naming_its_path(tmp_path, dama
     path.write_text(HOSTILE_CHECKPOINTS[damage](json.loads(path.read_text()), model))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+def test_checkpoint_loader_checks_sizes_before_it_allocates(tmp_path):
+    # a 399-byte file whose hyperparams imply a 102 MB dense layer, and which stores no array
+    payload = {"format_version": 4, "hyperparams": {**asdict(CnnHyperparams(base_filters=4)),
+                                                    "n_classes": 200_000},
+               "class_names": [], "input_mean": [0.0] * 12, "input_std": [1.0] * 12,
+               "history": {"lr": [], "train_loss": [], "train_acc": [], "val_acc": []},
+               "parameters": []}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"{path}: parameters must be a list of 12")):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def _json_paths(value, path=()):

@@ -36,6 +36,56 @@ def test_public_surface_is_pinned():
     assert sorted(vibsense.__all__) == PUBLIC_NAMES
 
 
+def _in_a_fresh_process(code):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_vibsense_loads_no_submodule_until_a_name_is_used():
+    _in_a_fresh_process("""
+import sys
+import vibsense
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("vibsense."))
+
+assert loaded() == [], loaded()
+assert set(vibsense.__all__) <= set(dir(vibsense))
+try:
+    vibsense.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("vibsense.no_such_name resolved")
+vibsense.StructureClass, vibsense.FeatureVector, vibsense.CnnHyperparams, vibsense.StoreError
+assert loaded() == ["vibsense.errors", "vibsense.schema"], loaded()
+""")
+
+
+def test_every_public_name_resolves_lazily_to_the_object_its_module_defines():
+    _in_a_fresh_process("""
+import vibsense
+from vibsense import schema
+
+star = {}
+exec("from vibsense import *", star)
+assert sorted(set(star) - {"__builtins__"}) == vibsense.__all__
+for name in vibsense.__all__:
+    value = getattr(vibsense, name)
+    assert star[name] is value, name
+    defined = getattr(vibsense, vibsense._MODULE_OF[name])
+    assert value is (defined if defined.__name__ == "vibsense." + name else getattr(defined, name))
+# moved, not copied: the modules that compute with these names share schema's objects
+assert vibsense.signalsim.StructureClass is schema.StructureClass
+assert vibsense.features.FeatureVector is schema.FeatureVector
+assert vibsense.features.FEATURE_COLUMNS is schema.FEATURE_COLUMNS
+for name in ("CnnHyperparams", "DEFAULT_GRIDS", "DEPTH", "EPOCHS"):
+    assert getattr(vibsense.cnn, name) is getattr(schema, name), name
+""")
+
+
 def _repo_files():
     skip = {".git", "__pycache__", ".pytest_cache"}
     return {

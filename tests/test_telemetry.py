@@ -1,9 +1,14 @@
+import errno
 import gc
 import http.client
 import json
+import os
 import re
 import shutil
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -14,6 +19,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,12 +523,67 @@ def test_server_schema_errors_return_400(tmp_path):
     assert scan_store(tmp_path / "s.jsonl") == []
 
 
-def test_server_write_failure_returns_503_then_recovers(tmp_path):
-    with TelemetryServer(tmp_path / "s.jsonl") as srv:
-        srv.state.fail_writes = True
-        assert _post(srv.url, _record())[0] == 503
-        srv.state.fail_writes = False
-        assert _post(srv.url, _record())[0] == 201
+def test_server_write_failure_returns_503_then_recovers(tmp_path, monkeypatch):
+    path = tmp_path / "s.jsonl"
+    real_write = os.write
+
+    def write_then_fill_the_disk(fd, data):  # 40 bytes reach the file, then the disk is full
+        real_write(fd, data[:40])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with TelemetryServer(path) as srv:
+        assert _post(srv.url, _record(seq=0))[0] == 201
+        before = path.read_bytes()
+        monkeypatch.setattr(os, "write", write_then_fill_the_disk)
+        assert _post(srv.url, _record(seq=1))[0] == 503
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert _post(srv.url, _record(seq=1))[0] == 201
+    assert [r.seq for r in scan_store(path)] == [0, 1]
+
+
+# A _ServiceState whose file size limit ends 100 bytes past a one-record store: seq 1's
+# write stops there (EFBIG; SIGXFSZ ignored), then with the limit lifted seq 1 and 2 go in.
+_FILE_SIZE_LIMIT_CHILD = """
+import os, resource, signal, sys
+from vibsense.errors import StoreError
+from vibsense.features import FeatureVector
+from vibsense.telemetry import TelemetryRecord, _ServiceState
+
+store, limited = sys.argv[1], sys.argv[2] == "limited"
+features = FeatureVector.from_array([i + 0.25 for i in range(12)])
+state = _ServiceState(store)
+ingest = lambda seq: state.ingest(TelemetryRecord("node-a", 1_700_000_000_000 + seq, seq, features))
+ingest(0)
+if limited:
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(store) + 100, hard))
+    try:
+        ingest(1)
+    except StoreError as exc:
+        print("StoreError:", exc)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+print(ingest(1), ingest(2))
+state.close()
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_an_append_cut_short_by_the_file_size_limit_leaves_nothing_behind(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(telemetry.__file__).parents[1])}
+    stored = {}
+    for run in ("limited", "unlimited"):
+        store = tmp_path / f"{run}.jsonl"
+        done = subprocess.run([sys.executable, "-c", _FILE_SIZE_LIMIT_CHILD, str(store), run],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        stored[run] = done.stdout, store.read_bytes()
+    out, data = stored["limited"]
+    assert out.startswith("StoreError:") and "File too large" in out, out
+    assert out.endswith("stored stored\n"), out
+    assert [r.seq for r in scan_store(tmp_path / "limited.jsonl")] == [0, 1, 2]
+    assert data == stored["unlimited"][1]
 
 
 def test_server_unknown_paths_and_bad_params(tmp_path):
