@@ -7,10 +7,12 @@ Adam (Kingma & Ba 2015 defaults) and plateau learning-rate decay (LR0 times
 DECAY_FACTOR whenever best-so-far validation accuracy stalls for PATIENCE
 consecutive epochs). Only the paper's grid axes vary: :class:`CnnHyperparams`.
 
-Layouts. Activations are channels-last, (n, L, C), through every conv
-block; an input batch (n, 12) enters as (n, 12, 1). Conv weights are
-(C_out, C_in, K) and the dense weights (C_in, N). Each conv block is one
-im2col copy, (n*L, C_in*K) with columns in (c, k) order, and one matmul
+Layouts. A model is its hyperparameters plus one flat list of parameter
+arrays, W1, b1, ..., W5, b5, dense W, dense b, shaped as
+:func:`_parameter_shapes` says: conv weights (C_out, C_in, K), the dense
+weights (C_in, N). Activations are channels-last, (n, L, C), through every
+conv block; an input batch (n, 12) enters as (n, 12, 1). Each conv block is
+one im2col copy, (n*L, C_in*K) with columns in (c, k) order, and one matmul
 against ``weights.reshape(C_out, -1)``, a view; the backward pass reuses
 that matrix for dW and the same view for dX (Chellapilla et al. 2006).
 The forward cache keeps each block's output, not its pre-activation, and
@@ -88,7 +90,6 @@ _ACTIVATIONS = {
     "elu": (_elu_inplace, _elu_grad),
     "tanh": (lambda z: np.tanh(z, out=z), _one_minus_square),
     "sigmoid": (_sigmoid_inplace, _sigmoid_grad),
-    "linear": (lambda z: z, np.ones_like),
 }
 
 
@@ -101,19 +102,6 @@ def layer_output_sizes(hp: CnnHyperparams) -> list[tuple[int, int]]:
 
 
 @dataclass
-class ConvLayer:
-    weights: np.ndarray  # (C_out, C_in, K)
-    bias: np.ndarray  # (C_out,)
-    activation: str = "elu"
-
-
-@dataclass
-class DenseLayer:
-    weights: np.ndarray  # (C_in, N)
-    bias: np.ndarray  # (N,)
-
-
-@dataclass
 class TrainingHistory:
     lr: list[float] = field(default_factory=list)
     train_loss: list[float] = field(default_factory=list)
@@ -123,9 +111,8 @@ class TrainingHistory:
 
 @dataclass
 class CnnModel:
-    conv_layers: list[ConvLayer]
-    dense: DenseLayer
     hp: CnnHyperparams
+    params: list[np.ndarray]  # W1, b1, ..., W5, b5, dense W, dense b: _parameter_shapes(hp)
     input_mean: np.ndarray
     input_std: np.ndarray
     class_names: list[str]
@@ -140,7 +127,7 @@ class PredictionResult:
 
 
 def _parameter_shapes(hp: CnnHyperparams) -> list[tuple[int, ...]]:
-    """The shape of each array of :func:`parameters` in a model of ``hp``."""
+    """The shape of each array of ``CnnModel.params`` in a model of ``hp``."""
     shapes, c_in = [], 1
     for c_out in hp.channel_counts():
         shapes += [(c_out, c_in, hp.kernel_length), (c_out,)]
@@ -151,22 +138,16 @@ def _parameter_shapes(hp: CnnHyperparams) -> list[tuple[int, ...]]:
 def init_model(hp: CnnHyperparams, seed: int, class_names=None) -> CnnModel:
     """Fan-in-scaled uniform weight init, zero biases, seeded."""
     rng = np.random.default_rng(seed)
-    shapes = _parameter_shapes(hp)
-    layers = []
-    for w_shape, b_shape in zip(shapes[0::2], shapes[1::2]):
-        fan_in = w_shape[0] if len(w_shape) == 2 else w_shape[1] * w_shape[2]  # dense: (C_in, N)
-        bound = np.sqrt(1.0 / fan_in)
-        layers.append((rng.uniform(-bound, bound, size=w_shape), np.zeros(b_shape)))
-    *convs, dense = layers
+    params = []
+    for shape in _parameter_shapes(hp):
+        if len(shape) == 1:  # a bias
+            params.append(np.zeros(shape))
+        else:
+            fan_in = shape[0] if len(shape) == 2 else shape[1] * shape[2]  # dense: (C_in, N)
+            bound = np.sqrt(1.0 / fan_in)
+            params.append(rng.uniform(-bound, bound, size=shape))
     names = list(class_names) if class_names else [str(i) for i in range(hp.n_classes)]
-    return CnnModel(
-        conv_layers=[ConvLayer(w, b, hp.activation) for w, b in convs],
-        dense=DenseLayer(*dense),
-        hp=hp,
-        input_mean=np.zeros(INPUT_LEN),
-        input_std=np.ones(INPUT_LEN),
-        class_names=names,
-    )
+    return CnnModel(hp, params, np.zeros(INPUT_LEN), np.ones(INPUT_LEN), names)
 
 
 def _taps(length: int, k: int):
@@ -181,39 +162,39 @@ def _taps(length: int, k: int):
         yield j, slice(max(0, -s), length - max(0, s)), slice(max(0, s), length + min(0, s))
 
 
-def _conv_forward(x: np.ndarray, layer: ConvLayer):
+def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, activation: str):
     """Same-padded stride-1 conv plus activation. x: (n, L, C_in) -> (n, L, C_out).
 
     Returns the output and the im2col matrix ``cols`` (n*L, C_in*K): row
     (i, l), column c*K + j holds x[i, l + j - pad, c], zero in the padding.
-    That column order is the order of ``layer.weights.reshape(C_out, -1)``.
+    That column order is the order of ``weights.reshape(C_out, -1)``.
     """
     n, length, c_in = x.shape
-    c_out, _, k = layer.weights.shape
+    c_out, _, k = weights.shape
     cols = np.empty((n, length, c_in, k))
     for j, out_rows, in_rows in _taps(length, k):
         cols[:, out_rows, :, j] = x[:, in_rows]
         cols[:, : out_rows.start, :, j] = 0.0
         cols[:, out_rows.stop :, :, j] = 0.0
     cols = cols.reshape(n * length, c_in * k)
-    z = cols @ layer.weights.reshape(c_out, -1).T
-    z += layer.bias
-    act, _ = _ACTIVATIONS[layer.activation]
+    z = cols @ weights.reshape(c_out, -1).T
+    z += bias
+    act, _ = _ACTIVATIONS[activation]
     return act(z).reshape(n, length, c_out), cols
 
 
-def _conv_backward(d_out: np.ndarray, layer: ConvLayer, cache, need_dx: bool):
+def _conv_backward(d_out: np.ndarray, weights: np.ndarray, activation: str, cache, need_dx: bool):
     """Gradients of one conv block from d(loss)/d(output); dx is None unless need_dx."""
     cols, a = cache
     n, length, c_out = a.shape
-    _, grad = _ACTIVATIONS[layer.activation]
+    _, grad = _ACTIVATIONS[activation]
     dz = np.multiply(d_out, grad(a)).reshape(n * length, c_out)
-    dw = (dz.T @ cols).reshape(layer.weights.shape)
+    dw = (dz.T @ cols).reshape(weights.shape)
     db = dz.sum(axis=0)
     if not need_dx:
         return None, dw, db
-    _, c_in, k = layer.weights.shape
-    dcols = (dz @ layer.weights.reshape(c_out, -1)).reshape(n, length, c_in, k)
+    _, c_in, k = weights.shape
+    dcols = (dz @ weights.reshape(c_out, -1)).reshape(n, length, c_in, k)
     dx = np.zeros((n, length, c_in))
     for j, out_rows, in_rows in _taps(length, k):
         dx[:, in_rows] += dcols[:, out_rows, :, j]
@@ -229,12 +210,13 @@ def forward(model: CnnModel, batch: np.ndarray, return_cache: bool = False):
         raise ValueError("input contains non-finite values")
 
     caches = []
+    *conv, dense_w, dense_b = model.params
     a = x.reshape(len(x), INPUT_LEN, 1)  # channels-last (n, L, C)
-    for layer in model.conv_layers:
-        a, cols = _conv_forward(a, layer)
+    for w, b in zip(conv[0::2], conv[1::2]):
+        a, cols = _conv_forward(a, w, b, model.hp.activation)
         caches.append((cols, a))  # backward takes dW from cols and f'(z) from a
     g = a.mean(axis=1)  # global average pooling (n, C)
-    logits = g @ model.dense.weights + model.dense.bias
+    logits = g @ dense_w + dense_b
     logits_shift = logits - logits.max(axis=1, keepdims=True)
     log_probs = logits_shift - np.log(np.exp(logits_shift).sum(axis=1, keepdims=True))
     probs = np.exp(log_probs)
@@ -263,27 +245,23 @@ def backward(model: CnnModel, cache: dict, labels: np.ndarray) -> list[np.ndarra
     g = cache["gap"]
     d_dense_w = g.T @ dlogits
     d_dense_b = dlogits.sum(axis=0)
-    dg = dlogits @ model.dense.weights.T
+    dg = dlogits @ model.params[-2].T
 
     conv_caches = cache["conv_caches"]
     last_out = conv_caches[-1][1]
     d_a = np.broadcast_to((dg / last_out.shape[1])[:, None, :], last_out.shape)
     grads = [d_dense_b, d_dense_w]  # reversed here, flipped below
-    for depth in reversed(range(len(model.conv_layers))):
-        layer = model.conv_layers[depth]
-        d_a, dw, db = _conv_backward(d_a, layer, conv_caches[depth], need_dx=depth > 0)
+    for depth in reversed(range(len(conv_caches))):
+        d_a, dw, db = _conv_backward(d_a, model.params[2 * depth], model.hp.activation,
+                                     conv_caches[depth], need_dx=depth > 0)
         grads.extend([db, dw])
     grads.reverse()  # now W1, b1, ..., W_depth, b_depth, Wd, bd
     return grads
 
 
 def parameters(model: CnnModel) -> list[np.ndarray]:
-    """Flat parameter list: conv W1, b1, ..., Wd, bd (views, not copies)."""
-    params = []
-    for layer in model.conv_layers:
-        params.extend([layer.weights, layer.bias])
-    params.extend([model.dense.weights, model.dense.bias])
-    return params
+    """Flat parameter list: conv W1, b1, ..., Wd, bd (the model's own arrays, not copies)."""
+    return model.params
 
 
 def loss_and_grads(model: CnnModel, batch, labels) -> tuple[float, list[np.ndarray], np.ndarray]:
@@ -497,18 +475,19 @@ _CHECKPOINT_KEYS = ("format_version", "hyperparams", "class_names", "input_mean"
                     "history", "parameters")
 
 
-def _layout(model: CnnModel):
-    """What ``model.hp`` fixes, so a checkpoint does not store it."""
-    arrays = [*parameters(model), model.input_mean, model.input_std]
-    return [(a.shape, a.dtype) for a in arrays], [layer.activation for layer in model.conv_layers]
+def _stored_shapes(hp: CnnHyperparams) -> list[tuple[int, ...]]:
+    """The shape of each stored array: ``parameters``, then ``input_mean`` and ``input_std``."""
+    return [*_parameter_shapes(hp), (INPUT_LEN,), (INPUT_LEN,)]
 
 
 def save_checkpoint(model: CnnModel, path) -> None:
     """JSON: the hyperparameters, then each array of ``parameters(model)`` flat in row-major
-    order. A model whose layers ``model.hp`` does not describe is a ValueError, since its
+    order. A model whose arrays ``model.hp`` does not describe is a ValueError, since its
     file would reload as another model."""
-    if _layout(model) != _layout(init_model(model.hp, seed=0)):
-        raise ValueError(f"{path}: the model's layers are not those {model.hp} describes")
+    arrays = [*parameters(model), model.input_mean, model.input_std]
+    layout = [(shape, np.dtype(float)) for shape in _stored_shapes(model.hp)]
+    if [(a.shape, a.dtype) for a in arrays] != layout:
+        raise ValueError(f"{path}: the model's arrays are not those {model.hp} describes")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "hyperparams": asdict(model.hp),
@@ -547,17 +526,14 @@ def load_checkpoint(path) -> CnnModel:
         class_names = _list(payload["class_names"], "class_names", kinds=(str,))
         history = _object(payload["history"], asdict(TrainingHistory()), "history")
         history = TrainingHistory(**{k: _list(v, f"history.{k}") for k, v in history.items()})
-        shapes = [*_parameter_shapes(hp), (INPUT_LEN,), (INPUT_LEN,)]
+        shapes = _stored_shapes(hp)
         values = [*_list(payload["parameters"], "parameters", len(shapes) - 2, (list,)),
                   payload["input_mean"], payload["input_std"]]
         where = [*(f"parameters[{i}]" for i in range(len(shapes) - 2)), "input_mean", "input_std"]
         for v, w, shape in zip(values, where, shapes):  # all of them before any array is made
             _list(v, w, math.prod(shape))
-        model = init_model(hp, seed=0)
-        model.class_names, model.history = class_names, history
-        arrays = [*parameters(model), model.input_mean, model.input_std]
-        for a, v in zip(arrays, values):  # filled in place: they are the model's arrays
-            a[...] = np.fromiter(v, float, a.size).reshape(a.shape)
-        return model
+        *params, mean, std = [np.fromiter(v, float, len(v)).reshape(shape)
+                              for v, shape in zip(values, shapes)]
+        return CnnModel(hp, params, mean, std, class_names, history)
     except (ValueError, RecursionError, OverflowError) as exc:  # nested too deep; a huge int
         raise ValueError(f"{path}: {exc}") from exc

@@ -170,48 +170,84 @@ def decode_record(raw: bytes | str) -> TelemetryRecord:
     )
 
 
+class _FsyncError(StoreError):
+    """An fsync failed: the page cache may hold bytes that the disk does not."""
+
+
+def _open_store(store_path):
+    """``store_path`` opened for unbuffered appends, with any torn tail cut off.
+
+    A torn tail, the bytes after the last newline, was never acknowledged;
+    left in place, the next append would extend it into a line that no read
+    decodes. A store whose last byte is a newline is not read. Creating the
+    file fsyncs its directory too, so that after a power loss the file that
+    took the first acknowledgement still exists (Pillai et al., OSDI 2014).
+    """
+    created = not os.path.exists(store_path)
+    fh = open(store_path, "a+b", buffering=0)
+    try:
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            os.ftruncate(fd, Path(store_path).read_bytes().rfind(b"\n") + 1)
+            os.fsync(fd)
+        if created:
+            dir_fd = os.open(os.path.dirname(os.path.abspath(store_path)), os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
 def _append_durable(fh, record: TelemetryRecord) -> bytes:
     """Write one record line to the unbuffered ``fh`` and fsync it; return the line.
 
     On a failed write or fsync the file is cut back to its old end, so that no
     part of the line stays for a later append to complete, and StoreError is
-    raised.
+    raised: :class:`_FsyncError` if the write went through and the fsync failed.
     """
     line = encode_record(record)
     fd = fh.fileno()
     end = os.lseek(fd, 0, os.SEEK_END)
+    error = StoreError
     try:
         rest = memoryview(line + b"\n")
         while rest:  # a short write (a full disk, a file size limit) writes the rest or fails
             rest = rest[os.write(fd, rest) :]
+        error = _FsyncError
         os.fsync(fd)
     except OSError as exc:
         try:
             os.ftruncate(fd, end)
         except OSError as cut:  # part of the line stays in the file
-            raise StoreError(f"append to {fh.name} failed: {exc}; cutting it off failed: {cut}")
-        raise StoreError(f"append to {fh.name} failed: {exc}") from exc
+            raise error(f"append to {fh.name} failed: {exc}; cutting it off failed: {cut}")
+        raise error(f"append to {fh.name} failed: {exc}") from exc
     return line
 
 
 def append_store(store_path, record: TelemetryRecord) -> None:
-    """Durably append one record (write, fsync), or leave the store as it was."""
+    """Durably append one record (write, fsync), or leave the store as it was, but for a
+    torn tail, which is cut off first."""
     try:
-        with open(store_path, "ab", buffering=0) as fh:
+        with _open_store(store_path) as fh:
             _append_durable(fh, record)
     except OSError as exc:  # open or close; _append_durable raises StoreError itself
         raise StoreError(f"append to {store_path} failed: {exc}") from exc
 
 
-def _store_lines(store_path) -> tuple[list[bytes], int]:
-    """The newline-terminated lines, and the byte length they fill."""
+def _store_lines(store_path) -> list[bytes]:
+    """The newline-terminated lines, without their newlines."""
     data = Path(store_path).read_bytes()
     end = data.rfind(b"\n") + 1
     if end < len(data):
         warnings.warn(
             f"skipping {len(data) - end} torn trailing bytes in {store_path}", stacklevel=3
         )
-    return data[:end].split(b"\n")[:-1], end
+    return data[:end].split(b"\n")[:-1]
 
 
 def _decode_line(store_path, lineno: int, line: bytes) -> TelemetryRecord:
@@ -229,7 +265,7 @@ def scan_store(store_path) -> list[TelemetryRecord]:
     warning. A malformed line anywhere else means real corruption and raises
     :class:`StoreError`.
     """
-    lines, _ = _store_lines(store_path)
+    lines = _store_lines(store_path)
     return [_decode_line(store_path, lineno, line) for lineno, line in enumerate(lines, start=1)]
 
 
@@ -334,26 +370,31 @@ def _window(keys, since_ms, limit):
 class _ServiceState:
     """Store handle plus in-memory index, shared by handler threads.
 
-    Opening the store cuts a torn tail off: those bytes were never
-    acknowledged, and left in place the next append would extend the torn
-    line, so the store would no longer open.
+    After a failed fsync the state latches: the page cache may hold bytes the
+    disk does not (Rebello et al., USENIX ATC 2020), so every later ingest
+    raises StoreError until a new state re-reads the store. A failed write
+    latches nothing.
     """
 
     def __init__(self, store_path):
         self.lock = threading.Lock()
-        lines, end = _store_lines(store_path) if os.path.exists(store_path) else ([], 0)
+        lines = _store_lines(store_path) if os.path.exists(store_path) else []
         self.index = StoreIndex(*_load(store_path, lines))
-        self._fh = open(store_path, "ab", buffering=0)  # positioned at the end of the file
-        if self._fh.tell() > end:
-            self._fh.truncate(end)
-            os.fsync(self._fh.fileno())
+        self._fh = _open_store(store_path)
+        self._latched = None  # the fsync error every ingest raises again, once there is one
 
     def ingest(self, record: TelemetryRecord) -> str:
         """'stored' | 'duplicate'; raises StoreError on write failure."""
         with self.lock:
+            if self._latched:
+                raise StoreError(f"{self._latched}; restart to re-read the store")
             if record.seq <= self.index.max_seq.get(record.node_id, -1):
                 return "duplicate"
-            self.index.add(record, _append_durable(self._fh, record))
+            try:
+                self.index.add(record, _append_durable(self._fh, record))
+            except _FsyncError as exc:
+                self._latched = str(exc)
+                raise
             return "stored"
 
     def node_statuses(self) -> list[NodeStatus]:

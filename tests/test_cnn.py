@@ -3,7 +3,7 @@ import json
 import re
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,8 +18,6 @@ from vibsense.cnn import (
     AdamState,
     CnnHyperparams,
     CnnModel,
-    ConvLayer,
-    DenseLayer,
     PlateauScheduler,
     TrainingHistory,
     adam_step,
@@ -84,7 +82,6 @@ ANALYTIC_GRADS = {
     "elu": lambda z: np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0))),
     "tanh": lambda z: 1.0 / np.cosh(z) ** 2,
     "sigmoid": lambda z: np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))) ** 2,
-    "linear": lambda z: np.ones_like(z),
 }
 
 
@@ -162,14 +159,16 @@ def test_init_model_shapes_and_determinism():
         (128, 64, 2), (128,),
         (128, 5), (5,),
     ]
-    for layer in model.conv_layers:
-        c_in = layer.weights.shape[1]
-        assert np.abs(layer.weights).max() <= np.sqrt(1.0 / (c_in * 2))
-        assert np.all(layer.bias == 0)
+    assert parameters(model) is model.params  # the model's own arrays
+    conv = model.params[:-2]
+    for weights, bias in zip(conv[0::2], conv[1::2]):
+        c_in = weights.shape[1]
+        assert np.abs(weights).max() <= np.sqrt(1.0 / (c_in * 2))
+        assert np.all(bias == 0)
     again = init_model(hp, seed=5)
     other = init_model(hp, seed=6)
     assert all(np.array_equal(a, b) for a, b in zip(parameters(model), parameters(again)))
-    assert not np.array_equal(model.conv_layers[0].weights, other.conv_layers[0].weights)
+    assert not np.array_equal(model.params[0], other.params[0])
 
 
 # ------------------------------------------------------------------ forward
@@ -179,20 +178,20 @@ def test_forward_matches_naive_convolution():
     rng = np.random.default_rng(7)
     for k in (1, 2, 3, 4):
         x = rng.normal(size=(3, 12, 2))  # channels-last (n, L, C_in)
-        layer = ConvLayer(rng.normal(size=(4, 2, k)), rng.normal(size=4), "linear")
-        z, _ = cnn._conv_forward(x, layer)
+        weights, bias = rng.normal(size=(4, 2, k)), rng.normal(size=4)
+        a, _ = cnn._conv_forward(x, weights, bias, "tanh")
         pad_l = (k - 1) // 2
         xp = np.pad(x, ((0, 0), (pad_l, k - 1 - pad_l), (0, 0)))
         want = np.empty((3, 12, 4))
         for i in range(3):
             for co in range(4):
                 for pos in range(12):
-                    acc = layer.bias[co]
+                    acc = bias[co]
                     for ci in range(2):
                         for j in range(k):
-                            acc += layer.weights[co, ci, j] * xp[i, pos + j, ci]
-                    want[i, pos, co] = acc
-        assert np.allclose(z, want, atol=1e-12)
+                            acc += weights[co, ci, j] * xp[i, pos + j, ci]
+                    want[i, pos, co] = np.tanh(acc)
+        assert np.allclose(a, want, atol=1e-12)
 
 
 def test_forward_zero_weights_gives_uniform():
@@ -206,14 +205,13 @@ def test_forward_zero_weights_gives_uniform():
 
 def test_forward_identity_kernel_reduces_to_row_mean():
     model = CnnModel(
-        conv_layers=[ConvLayer(np.ones((1, 1, 1)), np.zeros(1), "linear")],
-        dense=DenseLayer(np.zeros((1, 5)), np.zeros(5)),
-        hp=CnnHyperparams(),
+        hp=CnnHyperparams(),  # ELU, the identity on positive inputs
+        params=[np.ones((1, 1, 1)), np.zeros(1), np.zeros((1, 5)), np.zeros(5)],
         input_mean=np.zeros(12),
         input_std=np.ones(12),
         class_names=[str(i) for i in range(5)],
     )
-    x = np.random.default_rng(2).normal(size=(4, 12))
+    x = np.random.default_rng(2).uniform(0.1, 2.0, size=(4, 12))
     probs, cache = forward(model, x, return_cache=True)
     assert np.allclose(cache["gap"][:, 0], x.mean(axis=1), atol=1e-12)
     assert np.allclose(probs, 0.2, atol=1e-12)
@@ -280,11 +278,9 @@ def _check_grads_against_fd(model, x, y, per_tensor=20, h=1e-5, seed=0, skip_kin
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-9)
 
 
-@pytest.mark.parametrize("activation", ["relu", "elu", "tanh", "sigmoid", "linear"])
+@pytest.mark.parametrize("activation", ["relu", "elu", "tanh", "sigmoid"])
 def test_backward_matches_finite_differences(activation):
-    model = init_model(HP_SMALL, seed=11)
-    for layer in model.conv_layers:
-        layer.activation = activation
+    model = init_model(replace(HP_SMALL, activation=activation), seed=11)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(8, 12))
     y = rng.integers(0, 5, size=8)
@@ -293,7 +289,7 @@ def test_backward_matches_finite_differences(activation):
 
 def test_backward_zero_loss_means_zero_gradients():
     model = init_model(HP_SMALL, seed=13)
-    model.dense.bias[0] = 1000.0  # saturates the softmax at class 0
+    model.params[-1][0] = 1000.0  # the dense bias; saturates the softmax at class 0
     rng = np.random.default_rng(14)
     x = rng.normal(size=(6, 12))
     y = np.zeros(6, dtype=int)
@@ -345,12 +341,12 @@ def test_adam_first_step_size_is_lr():
 def test_adam_updates_in_place():
     model = init_model(HP_SMALL, seed=19)
     params = parameters(model)
-    before = model.conv_layers[0].weights.copy()
+    before = model.params[0].copy()
     state = AdamState.for_params(params)
     rng = np.random.default_rng(20)
     _, grads, _ = loss_and_grads(model, rng.normal(size=(4, 12)), rng.integers(0, 5, 4))
     adam_step(params, grads, state, lr=0.01)
-    assert not np.array_equal(model.conv_layers[0].weights, before)
+    assert not np.array_equal(model.params[0], before)
     assert state.t == 1
 
 
@@ -405,9 +401,9 @@ def test_train_is_deterministic():
     a = train(ds, HP_SMALL, seed=9, val=ds, epochs=5)
     b = train(ds, HP_SMALL, seed=9, val=ds, epochs=5)
     c = train(ds, HP_SMALL, seed=10, val=ds, epochs=5)
-    assert np.array_equal(a.dense.weights, b.dense.weights)
+    assert np.array_equal(a.params[-2], b.params[-2])  # the dense weights
     assert a.history.train_loss == b.history.train_loss
-    assert not np.array_equal(a.dense.weights, c.dense.weights)
+    assert not np.array_equal(a.params[-2], c.params[-2])
 
 
 def test_train_history_lr_replays_the_scheduler():
@@ -567,7 +563,7 @@ def test_predict_invariant_to_dense_bias_shift():
     model = init_model(HP_SMALL, seed=31)
     rows = np.random.default_rng(32).normal(size=(50, 12))
     before = forward(model, rows)
-    model.dense.bias += 7.5
+    model.params[-1] += 7.5  # the dense bias
     after = forward(model, rows)
     assert np.allclose(before, after, atol=1e-12)
     assert np.array_equal(before.argmax(axis=1), after.argmax(axis=1))
@@ -625,6 +621,7 @@ def _small_model():
 
 def _format_3(model) -> dict:
     """What the format-3 writer made of ``model``: each layer's shape, weights and activation."""
+    *conv, dense_w, dense_b = parameters(model)
     return {
         "format_version": 3,
         "hyperparams": asdict(model.hp),
@@ -632,13 +629,12 @@ def _format_3(model) -> dict:
         "input_mean": model.input_mean.tolist(),
         "input_std": model.input_std.tolist(),
         "conv_layers": [
-            {"shape": list(layer.weights.shape), "weights": layer.weights.ravel().tolist(),
-             "bias": layer.bias.tolist(), "activation": layer.activation}
-            for layer in model.conv_layers
+            {"shape": list(w.shape), "weights": w.ravel().tolist(), "bias": b.tolist(),
+             "activation": model.hp.activation}
+            for w, b in zip(conv[0::2], conv[1::2])
         ],
-        "dense": {"shape": list(model.dense.weights.shape),
-                  "weights": model.dense.weights.ravel().tolist(),
-                  "bias": model.dense.bias.tolist()},
+        "dense": {"shape": list(dense_w.shape), "weights": dense_w.ravel().tolist(),
+                  "bias": dense_b.tolist()},
         "history": asdict(model.history),
     }
 
@@ -657,18 +653,32 @@ def test_checkpoint_holds_the_hyperparams_and_each_parameter_array_flat(tmp_path
 
 def test_save_refuses_a_model_its_hyperparams_do_not_describe(tmp_path):
     path = tmp_path / "model.json"
-    for change in (
-        lambda m: setattr(m.conv_layers[2], "activation", "relu"),
-        lambda m: m.conv_layers.pop(),
-        lambda m: setattr(m.dense, "bias", np.zeros(4)),
-        lambda m: setattr(m.conv_layers[0], "weights", m.conv_layers[0].weights.astype(np.float32)),
-        lambda m: setattr(m, "input_std", np.ones(5)),
+    model = _small_model()
+    p = model.params
+    for bad in (
+        replace(model, params=p[:-1]),  # no dense bias
+        replace(model, params=[*p[:-1], p[-1][:4]]),  # a dense bias for 4 of the 5 classes
+        replace(model, params=[p[0].astype(np.float32), *p[1:]]),
+        replace(model, params=[*p[:2], p[2][:, :3], *p[3:]]),  # conv2 reads 3 of 4 channels
+        replace(model, input_std=np.ones(5)),
     ):
-        model = _small_model()
-        change(model)
         with pytest.raises(ValueError, match="describes"):
-            save_checkpoint(model, path)
+            save_checkpoint(bad, path)
         assert not path.exists()
+
+
+def test_checkpoint_save_and_load_build_no_throwaway_model(tmp_path, monkeypatch):
+    model = _small_model()
+    path = tmp_path / "model.json"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("init_model called")
+
+    monkeypatch.setattr(cnn, "init_model", refuse)
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert len(parameters(loaded)) == len(parameters(model))
+    assert all(np.array_equal(a, b) for a, b in zip(parameters(loaded), parameters(model)))
 
 
 HOSTILE_CHECKPOINTS = {

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import ThreadingHTTPServer
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,6 +474,36 @@ def test_store_survives_a_torn_write_at_every_offset(tmp_path):
         assert path.read_bytes() == b"".join(lines), cut
 
 
+def test_append_store_after_a_torn_tail_keeps_the_store_readable(tmp_path):
+    path = tmp_path / "store.jsonl"
+    append_store(path, _record(seq=0))
+    with open(path, "ab") as fh:  # a crash mid-append leaves a prefix, no newline
+        fh.write(encode_record(_record(seq=5))[:30])
+    append_store(path, _record(seq=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the torn bytes are gone, not skipped
+        assert scan_store(path) == [_record(seq=0), _record(seq=1)]
+        with TelemetryServer(path) as srv:
+            status, payload = _http("GET", srv.url + "/records?node_id=node-a")
+    assert status == 200 and [r["seq"] for r in payload["records"]] == [0, 1]
+
+
+def test_creating_the_store_fsyncs_its_directory_once(tmp_path, monkeypatch):
+    real_fsync, synced = os.fsync, []
+
+    def noting_fsync(fd):  # True for the store's directory
+        synced.append(os.path.samestat(os.fstat(fd), os.stat(tmp_path)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", noting_fsync)
+    for name, open_store in (("appended.jsonl", lambda path: append_store(path, _record())),
+                             ("served.jsonl", lambda path: telemetry._ServiceState(path).close())):
+        for times in (1, 0):  # the open that creates the file, then a reopen
+            synced.clear()
+            open_store(tmp_path / name)
+            assert synced.count(True) == times, (name, synced)
+
+
 # ------------------------------------------------------------------- server
 
 
@@ -539,6 +570,29 @@ def test_server_write_failure_returns_503_then_recovers(tmp_path, monkeypatch):
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert _post(srv.url, _record(seq=1))[0] == 201
+    assert [r.seq for r in scan_store(path)] == [0, 1]
+
+
+def test_server_after_a_failed_fsync_answers_503_until_a_restart(tmp_path, monkeypatch):
+    path = tmp_path / "s.jsonl"
+    real_fsync, failures = os.fsync, [OSError(errno.EIO, os.strerror(errno.EIO))]
+
+    def fsync_failing_once(fd):
+        if failures:
+            raise failures.pop()
+        real_fsync(fd)
+
+    with TelemetryServer(path) as srv:
+        assert _post(srv.url, _record(seq=0))[0] == 201
+        monkeypatch.setattr(os, "fsync", fsync_failing_once)
+        assert _post(srv.url, _record(seq=1))[0] == 503
+        assert not failures  # fsync is healthy again, but the page cache may have lost a write
+        status, payload = _post(srv.url, _record(seq=1))
+        assert status == 503 and "restart" in payload["error"]
+        assert _post(srv.url, _record(seq=2))[0] == 503
+    with TelemetryServer(path) as srv:  # the restart re-reads the store
+        assert _post(srv.url, _record(seq=1))[0] == 201
+        assert _post(srv.url, _record(seq=0))[0] == 409
     assert [r.seq for r in scan_store(path)] == [0, 1]
 
 
@@ -944,6 +998,12 @@ class ServiceStateMachine(RuleBasedStateMachine):
         assert self.state.ingest(record) == "stored"
         self.acked.append(record)
 
+    def _next_record(self, node, seed):
+        """The node's next seq, one ms past its latest timestamp."""
+        seq = max((r.seq for r in self._of(node)), default=-1) + 1
+        last = max((r.timestamp_ms for r in self._of(node)), default=1)
+        return _record(node=node, ts=last + 1, seq=seq, seed=seed)
+
     def _restart(self, torn=b""):
         self.state.close()
         with open(self.path, "ab") as fh:  # a crash mid-append leaves a prefix, no newline
@@ -996,9 +1056,7 @@ class ServiceStateMachine(RuleBasedStateMachine):
     def append_loose_line(self, node, seed, spelling):
         # a line decode_record reads but encode_record does not write, so a
         # restart mixes lines the pattern reads with lines decode_record reads
-        seq = max((r.seq for r in self._of(node)), default=-1) + 1
-        last = max((r.timestamp_ms for r in self._of(node)), default=1)
-        record = _record(node=node, ts=last + 1, seq=seq, seed=seed)
+        record = self._next_record(node, seed)
         if spelling == "spaced":
             line = json.dumps(record_wire_dict(record)).encode()
         else:  # the pattern matches this line, but the answer must say 1.5
@@ -1014,6 +1072,33 @@ class ServiceStateMachine(RuleBasedStateMachine):
     def torn_append(self, node, data):
         line = encode_record(_record(node=node, seq=10**6))
         self._restart(torn=line[: data.draw(st.integers(1, len(line)))])
+
+    @rule(node=st.sampled_from(_MODEL_NODES), data=st.data(), seed=st.integers(0, 3))
+    def torn_tail_then_append_store(self, node, data, seed):
+        # a crash mid-append, then append_store before any server opens the store
+        torn = encode_record(_record(node=node, seq=10**6))
+        self.state.close()
+        with open(self.path, "ab") as fh:
+            fh.write(torn[: data.draw(st.integers(1, len(torn)))])
+        record = self._next_record(node, seed)
+        append_store(self.path, record)
+        self.acked.append(record)
+        self._restart()
+
+    @rule(node=st.sampled_from(_MODEL_NODES), data=st.data(), seed=st.integers(0, 3))
+    def append_fails_after_k_bytes(self, node, data, seed):
+        record = self._next_record(node, seed)
+        k = data.draw(st.integers(0, len(encode_record(record)) + 1))  # + 1: the newline too
+        real_write, size = os.write, os.path.getsize(self.path)
+
+        def write_k_then_fill_the_disk(fd, buf):
+            real_write(fd, buf[:k])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with mock.patch.object(os, "write", write_k_then_fill_the_disk), \
+                pytest.raises(StoreError):
+            self.state.ingest(record)
+        assert os.path.getsize(self.path) == size  # not acknowledged, and nothing left behind
 
     @rule()
     def restart(self):
