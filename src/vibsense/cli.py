@@ -17,6 +17,8 @@ from pathlib import Path
 from .errors import VibsenseError
 from .schema import DEFAULT_GRIDS, EPOCHS, FEATURE_COLUMNS, CnnHyperparams, StructureClass
 
+_SPLIT = (0.7, 0.1, 0.2)  # the paper's train, validation and test shares
+
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
@@ -152,7 +154,7 @@ def cmd_train_knn(args) -> int:
     ds = _load_dataset(args)
     mask, names = _selected_columns(out)
     ds_sel = ds.select_columns(mask)
-    train_ds, _, test_ds = baselines.split(ds_sel, (0.7, 0.1, 0.2), seed=args.seed, stratified=True)
+    train_ds, _, test_ds = baselines.split(ds_sel, _SPLIT, seed=args.seed, stratified=True)
 
     best_k, curve = baselines.sweep_k(train_ds, seed=args.seed)
     model = baselines.knn_fit(train_ds)
@@ -234,9 +236,7 @@ def cmd_train_cnn(args) -> int:
     out = _out_dir(args)
     ds = _load_dataset(args)
     hp = CnnHyperparams(**{axis: getattr(args, axis) for axis in DEFAULT_GRIDS})
-    train_ds, val_ds, test_ds = baselines.split(
-        ds, (0.7, 0.1, 0.2), seed=args.seed, stratified=True
-    )
+    train_ds, val_ds, test_ds = baselines.split(ds, _SPLIT, seed=args.seed, stratified=True)
     model = cnn.train(train_ds, hp, seed=args.seed, val=val_ds, epochs=args.epochs)
     cnn.save_checkpoint(model, out / "cnn_checkpoint.json")
     _write_history_csv(out / "cnn_history.csv", model.history)

@@ -35,9 +35,9 @@ import numpy as np
 
 from .baselines import LabeledDataset, cv_folds
 from .errors import DivergenceError
-from .schema import DEFAULT_GRIDS, DEPTH, EPOCHS, CnnHyperparams  # noqa: F401 (cnn.DEPTH)
+from .schema import DEFAULT_GRIDS, DEPTH, EPOCHS, FEATURE_COLUMNS, CnnHyperparams  # noqa: F401 (cnn.DEPTH)
 
-INPUT_LEN = 12
+INPUT_LEN = len(FEATURE_COLUMNS)
 LR0 = 1e-2
 DECAY_FACTOR = 0.8
 PATIENCE = 10

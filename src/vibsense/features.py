@@ -6,8 +6,9 @@ Conventions (fixed here, used everywhere else):
   ``std**2 + mean**2 == rms**2`` holds exactly.
 * ``mode`` is the most frequent integer ADC value, smallest value on ties.
 * ``skewness`` is the biased Fisher-Pearson form ``m3 / m2**1.5`` and
-  ``kurtosis`` the biased excess form ``m4 / m2**2 - 3``; both are 0 for
-  zero-variance windows.
+  ``kurtosis`` the biased excess form ``m4 / m2**2 - 3``; each is 0 where its
+  denominator is 0, which covers zero-variance windows and a variance so
+  small that ``m2**1.5`` or ``m2**2`` underflows.
 * a peak is a strict local maximum over both neighbors, endpoints excluded;
   ``avg_peak_value`` is the mean sample value at peak indices (0 if none).
 * ``crest_factor`` is ``max / rms``; 0 for an all-zero window.
@@ -16,6 +17,7 @@ Conventions (fixed here, used everywhere else):
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,20 +26,21 @@ from .errors import InsufficientDataError
 from .schema import FEATURE_COLUMNS, FeatureVector
 from .signalsim import RawWindow
 
-CSV_HEADERS = [
-    "Mean",
-    "Mode",
-    "Median",
-    "Standard deviation",
-    "Max",
-    "Min",
-    "RMS",
-    "Number of peaks",
-    "Average of peak values",
-    "Skewness",
-    "Kurtosis",
-    "Creast factor",
-]
+_HEADER_OF = {  # each feature's column header in the dataset's CSV
+    "mean": "Mean",
+    "mode": "Mode",
+    "median": "Median",
+    "std_dev": "Standard deviation",
+    "max": "Max",
+    "min": "Min",
+    "rms": "RMS",
+    "num_peaks": "Number of peaks",
+    "avg_peak_value": "Average of peak values",
+    "skewness": "Skewness",
+    "kurtosis": "Kurtosis",
+    "crest_factor": "Creast factor",
+}
+CSV_HEADERS = [_HEADER_OF[name] for name in FEATURE_COLUMNS]
 
 LABEL_HEADER = "Type of structure"
 
@@ -110,7 +113,7 @@ def extract_feature_matrix(samples) -> np.ndarray:
     num_peaks = is_peak.sum(axis=1)
     peak_sum = np.where(is_peak, x[:, 1:-1], 0.0).sum(axis=1)
     middle = ordered[:, (length - 1) // 2 : length // 2 + 1]  # as np.median
-    var = m2.tolist()  # zero-variance windows take skewness and kurtosis 0
+    var = m2.tolist()  # a zero denominator (zero or underflowing variance) gives 0
     columns = {
         "mean": mean,
         "mode": ints[np.arange(n), run_length.argmax(axis=1)],
@@ -121,8 +124,8 @@ def extract_feature_matrix(samples) -> np.ndarray:
         "rms": rms,
         "num_peaks": num_peaks,
         "avg_peak_value": np.divide(peak_sum, num_peaks, out=np.zeros(n), where=num_peaks > 0),
-        "skewness": [a / v**1.5 if v > 0 else 0.0 for a, v in zip(m3.tolist(), var)],
-        "kurtosis": [b / v**2 - 3.0 if v > 0 else 0.0 for b, v in zip(m4.tolist(), var)],
+        "skewness": [a / d if (d := v**1.5) > 0 else 0.0 for a, v in zip(m3.tolist(), var)],
+        "kurtosis": [b / d - 3.0 if (d := v**2) > 0 else 0.0 for b, v in zip(m4.tolist(), var)],
         "crest_factor": np.divide(hi, rms, out=np.zeros(n), where=rms > 0),
     }
     out = np.empty((n, len(FEATURE_COLUMNS)))
@@ -184,8 +187,7 @@ def read_feature_csv(path):
 
     Labels come back as strings; empty cells as None. Raises ValueError on a
     header that does not match the canonical column order, or naming the line
-    of a cell that is not a number (or, for the peak count, not finite) or
-    that csv cannot read.
+    of a cell that is not a finite number or that csv cannot read.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -200,8 +202,11 @@ def read_feature_csv(path):
                 if len(row) != len(CSV_HEADERS) + 1:
                     raise ValueError(f"row with {len(row)} cells in {path}")
                 try:
-                    vectors.append(FeatureVector.from_array([float(c) for c in row[:-1]]))
-                except (ValueError, OverflowError) as exc:
+                    values = [float(c) for c in row[:-1]]
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError("a cell is not finite")
+                    vectors.append(FeatureVector.from_array(values))
+                except ValueError as exc:
                     raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
                 labels.append(row[-1] or None)
         except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()

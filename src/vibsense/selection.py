@@ -32,13 +32,15 @@ class CorrelationReport:
 
 
 def pearson_r(x, y) -> float:
-    """Pearson correlation via population moments; errors on constant input."""
+    """Pearson correlation via population moments; errors on constant or non-finite input."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be equal-length 1-D sequences")
     if len(x) < 3:
         raise ValueError("need at least 3 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     xd = x - x.mean()
     yd = y - y.mean()
     sx = np.sqrt(np.mean(xd**2))
@@ -111,6 +113,8 @@ def read_correlation_csv(text: str) -> CorrelationReport:
             p.append(float(p_cell))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: want a name and two numbers: {exc}") from None
+        if not (-1.0 <= r[-1] <= 1.0 and 0.0 <= p[-1] <= 1.0):
+            raise ValueError(f"line {lineno}: want r in [-1, 1] and p in [0, 1], got {r_cell}, {p_cell}")
         if name not in FEATURE_COLUMNS or name in features:
             raise ValueError(f"line {lineno}: want each name once, from {list(FEATURE_COLUMNS)}; "
                              f"got {name!r}")

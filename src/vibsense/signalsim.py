@@ -162,8 +162,8 @@ def building_series(
 # lands near the observed per-class scale (building ~20, flyover ~28,
 # railline ~63, steel ~155, concrete ~25 ADC counts) while keeping the five
 # classes separable in the 12-feature space.
-DEFAULT_PROFILES: dict[StructureClass, ClassProfile] = {
-    StructureClass.BUILDING: ClassProfile(
+DEFAULT_PROFILES: dict[StructureClass, ClassProfile] = {profile.structure: profile for profile in (
+    ClassProfile(
         structure=StructureClass.BUILDING,
         base_noise_rms=7.0,
         impulse_rate=1.2,
@@ -172,7 +172,7 @@ DEFAULT_PROFILES: dict[StructureClass, ClassProfile] = {
         impulse_decay_tau=0.06,
         dc_offset=19.0,
     ),
-    StructureClass.FLYOVER: ClassProfile(
+    ClassProfile(
         structure=StructureClass.FLYOVER,
         base_noise_rms=14.0,
         impulse_rate=3.5,
@@ -181,7 +181,7 @@ DEFAULT_PROFILES: dict[StructureClass, ClassProfile] = {
         impulse_decay_tau=0.13,
         dc_offset=0.0,
     ),
-    StructureClass.RAILLINE: ClassProfile(
+    ClassProfile(
         structure=StructureClass.RAILLINE,
         base_noise_rms=1.9,
         impulse_rate=0.25,
@@ -190,7 +190,7 @@ DEFAULT_PROFILES: dict[StructureClass, ClassProfile] = {
         impulse_decay_tau=0.1,
         dc_offset=63.0,
     ),
-    StructureClass.STEEL_OVERBRIDGE: ClassProfile(
+    ClassProfile(
         structure=StructureClass.STEEL_OVERBRIDGE,
         base_noise_rms=55.0,
         impulse_rate=3.0,
@@ -199,7 +199,7 @@ DEFAULT_PROFILES: dict[StructureClass, ClassProfile] = {
         impulse_decay_tau=0.16,
         dc_offset=0.0,
     ),
-    StructureClass.CONCRETE_OVERBRIDGE: ClassProfile(
+    ClassProfile(
         structure=StructureClass.CONCRETE_OVERBRIDGE,
         base_noise_rms=9.0,
         impulse_rate=0.55,
@@ -208,7 +208,7 @@ DEFAULT_PROFILES: dict[StructureClass, ClassProfile] = {
         impulse_decay_tau=0.35,
         dc_offset=0.0,
     ),
-}
+)}
 
 # Published mean-amplitude-vs-floor laws: two buildings, vertical (floor
 # surface) slopes positive, horizontal (pillar surface) slopes negative.

@@ -16,6 +16,7 @@ _FONT = "font-family='monospace' font-size='11'"
 _TITLE_FONT = "font-family='monospace' font-size='13'"
 PALETTE = ("#1f628e", "#d1495b", "#66a182", "#edae49", "#8d6a9f", "#00798c")
 WIDTH, HEIGHT = 640, 400  # line and scatter chart size; a heatmap sizes itself to its cells
+_ML, _MR, _MT, _MB = 55, 15, 30, 45  # line and scatter chart margins: left, right, top, bottom
 
 
 def _document(width, height, parts) -> str:
@@ -62,49 +63,45 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 
 class _Canvas:
-    """Maps data coordinates into a margined plot box and collects elements."""
+    """A line or scatter chart's frame: both ranges padded, then the title, box, ticks
+    and axis labels. Callers append their marks to ``parts``."""
 
-    def __init__(self, x_range, y_range, margin=(55, 15, 30, 45)):
-        self.ml, self.mr, self.mt, self.mb = margin
-        self.x_lo, self.x_hi = x_range  # both from _pad_range, so hi > lo
-        self.y_lo, self.y_hi = y_range
-        self.parts: list[str] = []
-
-    def x(self, v: float) -> float:
-        frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
-        return self.ml + frac * (WIDTH - self.ml - self.mr)
-
-    def y(self, v: float) -> float:
-        frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return HEIGHT - self.mb - frac * (HEIGHT - self.mt - self.mb)
-
-    def add(self, element: str):
-        self.parts.append(element)
-
-    def axes(self, x_label: str = "", y_label: str = ""):
-        x0, x1 = self.ml, WIDTH - self.mr
-        y0, y1 = HEIGHT - self.mb, self.mt
-        self.add(
+    def __init__(self, xs, ys, title, x_label, y_label):
+        self.x_lo, self.x_hi = _pad_range(xs)
+        self.y_lo, self.y_hi = _pad_range(ys)
+        x0, x1 = _ML, WIDTH - _MR
+        y0, y1 = HEIGHT - _MB, _MT
+        self.parts = [_text(WIDTH / 2, 16, title, font=_TITLE_FONT)] if title else []
+        self.parts.append(
             f"<rect x='{_fmt(x0)}' y='{_fmt(y1)}' width='{_fmt(x1 - x0)}' "
             f"height='{_fmt(y0 - y1)}' fill='none' stroke='#333'/>"
         )
         for t in _ticks(self.x_lo, self.x_hi):
             px = self.x(t)
-            self.add(f"<line x1='{_fmt(px)}' y1='{_fmt(y0)}' x2='{_fmt(px)}' y2='{_fmt(y0 + 4)}' stroke='#333'/>")
-            self.add(_text(px, y0 + 16, _fmt(t)))
+            self.parts.append(f"<line x1='{_fmt(px)}' y1='{_fmt(y0)}' x2='{_fmt(px)}' y2='{_fmt(y0 + 4)}' stroke='#333'/>")
+            self.parts.append(_text(px, y0 + 16, _fmt(t)))
         for t in _ticks(self.y_lo, self.y_hi):
             py = self.y(t)
-            self.add(f"<line x1='{_fmt(x0 - 4)}' y1='{_fmt(py)}' x2='{_fmt(x0)}' y2='{_fmt(py)}' stroke='#333'/>")
-            self.add(_text(x0 - 7, py + 4, _fmt(t), "end"))
+            self.parts.append(f"<line x1='{_fmt(x0 - 4)}' y1='{_fmt(py)}' x2='{_fmt(x0)}' y2='{_fmt(py)}' stroke='#333'/>")
+            self.parts.append(_text(x0 - 7, py + 4, _fmt(t), "end"))
         if x_label:
-            self.add(_text((x0 + x1) / 2, HEIGHT - 6, x_label))
+            self.parts.append(_text((x0 + x1) / 2, HEIGHT - 6, x_label))
         if y_label:
             cx, cy = 14, (y0 + y1) / 2
-            self.add(_text(cx, cy, y_label, extra=f"transform='rotate(-90 {_fmt(cx)} {_fmt(cy)})'"))
+            self.parts.append(_text(cx, cy, y_label, extra=f"transform='rotate(-90 {_fmt(cx)} {_fmt(cy)})'"))
 
-    def title(self, text: str):
-        if text:
-            self.add(_text(WIDTH / 2, 16, text, font=_TITLE_FONT))
+    def x(self, v: float) -> float:
+        frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
+        return _ML + frac * (WIDTH - _ML - _MR)
+
+    def y(self, v: float) -> float:
+        frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
+        return HEIGHT - _MB - frac * (HEIGHT - _MT - _MB)
+
+    def dots(self, xs, ys, attrs: str):
+        """One ``<circle>`` marker per (x, y), each carrying ``attrs``."""
+        self.parts += [f"<circle cx='{_fmt(self.x(x))}' cy='{_fmt(self.y(y))}' {attrs}/>"
+                       for x, y in zip(xs, ys)]
 
     def render(self) -> str:
         return _document(WIDTH, HEIGHT, self.parts)
@@ -126,20 +123,14 @@ def line_chart(series, title="", x_label="", y_label="") -> str:
     all_y = [y for _, _, ys in series for y in ys]
     if not all_x:
         raise ValueError("series are empty")
-    canvas = _Canvas(_pad_range(all_x), _pad_range(all_y))
-    canvas.title(title)
-    canvas.axes(x_label, y_label)
+    canvas = _Canvas(all_x, all_y, title, x_label, y_label)
     for idx, (name, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         pts = " ".join(f"{_fmt(canvas.x(x))},{_fmt(canvas.y(y))}" for x, y in zip(xs, ys))
-        canvas.add(f"<polyline points='{pts}' fill='none' stroke='{color}' stroke-width='1.5'/>")
-        for x, y in zip(xs, ys):
-            canvas.add(
-                f"<circle cx='{_fmt(canvas.x(x))}' cy='{_fmt(canvas.y(y))}' r='2.5' fill='{color}'/>"
-            )
+        canvas.parts.append(f"<polyline points='{pts}' fill='none' stroke='{color}' stroke-width='1.5'/>")
+        canvas.dots(xs, ys, f"r='2.5' fill='{color}'")
         if name:
-            ly = canvas.mt + 14 + 14 * idx
-            canvas.add(_text(WIDTH - canvas.mr - 8, ly, name, "end", f"fill='{color}'"))
+            canvas.parts.append(_text(WIDTH - _MR - 8, _MT + 14 + 14 * idx, name, "end", f"fill='{color}'"))
     return canvas.render()
 
 
@@ -149,25 +140,19 @@ def scatter_chart(xs, ys, line=None, title="", x_label="", y_label="") -> str:
     ys = [float(v) for v in ys]
     if not xs or len(xs) != len(ys):
         raise ValueError("xs and ys must be equal-length and non-empty")
-    y_extent = list(ys)
+    ends = []  # the fit line's two end points, at the smallest and largest x
     if line is not None:
         slope, intercept = line
-        y_extent += [slope * min(xs) + intercept, slope * max(xs) + intercept]
-    canvas = _Canvas(_pad_range(xs), _pad_range(y_extent))
-    canvas.title(title)
-    canvas.axes(x_label, y_label)
-    if line is not None:
-        x_a, x_b = min(xs), max(xs)
-        canvas.add(
-            f"<line x1='{_fmt(canvas.x(x_a))}' y1='{_fmt(canvas.y(slope * x_a + intercept))}' "
-            f"x2='{_fmt(canvas.x(x_b))}' y2='{_fmt(canvas.y(slope * x_b + intercept))}' "
+        ends = [(x, slope * x + intercept) for x in (min(xs), max(xs))]
+    canvas = _Canvas(xs, ys + [y for _, y in ends], title, x_label, y_label)
+    if ends:
+        (x_a, y_a), (x_b, y_b) = ends
+        canvas.parts.append(
+            f"<line x1='{_fmt(canvas.x(x_a))}' y1='{_fmt(canvas.y(y_a))}' "
+            f"x2='{_fmt(canvas.x(x_b))}' y2='{_fmt(canvas.y(y_b))}' "
             f"stroke='{PALETTE[1]}' stroke-width='1.5'/>"
         )
-    for x, y in zip(xs, ys):
-        canvas.add(
-            f"<circle cx='{_fmt(canvas.x(x))}' cy='{_fmt(canvas.y(y))}' r='3' "
-            f"fill='{PALETTE[0]}' fill-opacity='0.8'/>"
-        )
+    canvas.dots(xs, ys, f"r='3' fill='{PALETTE[0]}' fill-opacity='0.8'")
     return canvas.render()
 
 

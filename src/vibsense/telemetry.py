@@ -420,8 +420,9 @@ class _ServiceState:
         self._fh.close()
 
 
-# /records parameters; integers in ASCII digits, as for Content-Length (int()
-# would also take "+3", "1_001" and " 3 "), and no more digits than int() reads
+# The /records parameters, each at most once; integers in ASCII digits, as for
+# Content-Length (int() would also take "+3", "1_001" and " 3 "), and no more
+# digits than int() reads
 _QUERY_SPELLINGS = {
     "node_id": (".+", "non-empty"),
     "since_ms": ("-?[0-9]{1,4300}", "an integer"),
@@ -517,10 +518,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if split.path == "/records":
             params = urllib.parse.parse_qs(split.query, keep_blank_values=True)
-            for name, (spelling, what) in _QUERY_SPELLINGS.items():
-                if name in params and not re.fullmatch(spelling, params[name][0], re.DOTALL):
-                    self._send(400, {"error": f"{name} must be {what}"})
-                    return
+            for name, values in params.items():
+                if name not in _QUERY_SPELLINGS:
+                    error = f"{name} is not a parameter; want {', '.join(_QUERY_SPELLINGS)}"
+                elif len(values) > 1:
+                    error = f"{name} is given {len(values)} times"
+                elif not re.fullmatch(_QUERY_SPELLINGS[name][0], values[0], re.DOTALL):
+                    error = f"{name} must be {_QUERY_SPELLINGS[name][1]}"
+                else:
+                    continue
+                self._send(400, {"error": error})
+                return
             node_id = params["node_id"][0] if "node_id" in params else None
             since_ms, limit = (int(params[k][0]) if k in params else None for k in ("since_ms", "limit"))
             lines = self.server.state.query(node_id, since_ms, limit)

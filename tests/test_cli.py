@@ -169,9 +169,17 @@ def test_select_missing_input_exits_2(tmp_path, capsys):
         ("Features,Correlation value,Prediction value\nMean,0.7,0.01\n", "line 2"),
         ("Features,Correlation value,Prediction value\nmean,0.7,0.01\nmean,0.7,0.01\n",
          "line 3"),
+        ("Features,Correlation value,Prediction value\nrms,0.7,0.01\nmean,5.0,-1.0\n", "line 3"),
+        ("Features,Correlation value,Prediction value\nmean,-1.5,0.01\n", "line 2"),
+        ("Features,Correlation value,Prediction value\nmean,0.7,1.5\n", "line 2"),
+        ("Features,Correlation value,Prediction value\nmean,nan,0.01\n", "line 2"),
+        ("Features,Correlation value,Prediction value\nmean,0.7,nan\n", "line 2"),
+        ("Features,Correlation value,Prediction value\nmean,inf,0.01\n", "line 2"),
+        ("Features,Correlation value,Prediction value\nmean,0.7,-inf\n", "line 2"),
     ],
     ids=["short row", "cell not a number", "wrong header", "unknown name", "name in the wrong case",
-         "repeated name"],
+         "repeated name", "r and p out of range", "r below -1", "p above 1", "r nan", "p nan",
+         "r inf", "p -inf"],
 )
 def test_select_on_a_malformed_correlation_table_exits_2(tmp_path, capsys, text, where):
     table = tmp_path / "correlations.csv"
@@ -182,11 +190,16 @@ def test_select_on_a_malformed_correlation_table_exits_2(tmp_path, capsys, text,
     assert err.startswith("select:") and where in err
 
 
-@pytest.mark.parametrize("cell", ["inf", "nan", "many"])
-def test_a_bad_peak_count_in_features_exits_2(corpus_dir, tmp_path, capsys, cell):
+@pytest.mark.parametrize(
+    "column, cell",
+    [("num_peaks", "inf"), ("num_peaks", "nan"), ("num_peaks", "many"), ("mean", "nan"),
+     ("mean", "inf"), ("kurtosis", "-inf")],
+    ids=["inf", "nan", "many", "mean nan", "mean inf", "kurtosis -inf"],
+)
+def test_a_bad_peak_count_in_features_exits_2(corpus_dir, tmp_path, capsys, column, cell):
     lines = (corpus_dir / "features.csv").read_text().splitlines()
     row = lines[3].split(",")
-    row[FEATURE_COLUMNS.index("num_peaks")] = cell
+    row[FEATURE_COLUMNS.index(column)] = cell
     lines[3] = ",".join(row)
     table = tmp_path / "features.csv"
     table.write_text("\n".join(lines) + "\n")

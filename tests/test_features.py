@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIELD_SAMPLE_ROWS, close_rel, naive_features
@@ -227,13 +227,15 @@ def _sample_matrices(draw):
 
 
 @given(_sample_matrices())
+@example(np.array([[0.0, 0.0, 0.0, 1e-100]]))  # m2**2 underflows to 0
+@example(np.array([[0.0, 0.0, 0.0, 4.78458439e-144]]))  # m2**1.5 and m2**2 underflow
 @settings(max_examples=300, deadline=None)
 def test_feature_matrix_moments_equal_the_elementwise_formula_bit_for_bit(samples):
     x = samples.astype(float)
     m2, m3, m4 = (np.mean((x - x.mean(1)[:, None]) ** p, axis=1) for p in (2, 3, 4))
     var = m2.tolist()
-    skewness = [a / v**1.5 if v > 0 else 0.0 for a, v in zip(m3.tolist(), var)]
-    kurtosis = [b / v**2 - 3.0 if v > 0 else 0.0 for b, v in zip(m4.tolist(), var)]
+    skewness = [a / v**1.5 if v**1.5 > 0 else 0.0 for a, v in zip(m3.tolist(), var)]
+    kurtosis = [b / v**2 - 3.0 if v**2 > 0 else 0.0 for b, v in zip(m4.tolist(), var)]
     matrix = extract_feature_matrix(samples)
     assert matrix.shape == (len(samples), len(FEATURE_COLUMNS))
     column = {name: matrix[:, i].tolist() for i, name in enumerate(FEATURE_COLUMNS)}

@@ -82,6 +82,11 @@ def test_pearson_errors():
         pearson_r([1, 2], [1, 2])
     with pytest.raises(ValueError):
         pearson_r([1, 2, 3], [1, 2])
+    for bad in (math.nan, math.inf, -math.inf):  # no longer clamped to -1.0 or 1.0
+        with pytest.raises(ValueError, match="finite"):
+            pearson_r([1, 2, bad, 4], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="finite"):
+            pearson_r([1, 2, 3, 4], [bad, 2, 3, 4])
 
 
 # ------------------------------------------------------------------ p_value

@@ -656,10 +656,14 @@ def test_server_records_query_is_read_strictly(tmp_path):
         assert _post(srv.url, _record(ts=1001))[0] == 201
         for query in ["node_id=", "node_id", "since_ms=1_001", "since_ms=+1001", "since_ms=",
                       "since_ms=--1", "limit=+3", "limit=%203%20", "limit=3_0", "limit=%D9%A3",
-                      "limit=-0", "node_id=node-a&limit=", "since_ms=" + "1" * 4301]:
+                      "limit=-0", "node_id=node-a&limit=", "since_ms=" + "1" * 4301,
+                      # unknown names and repeats are refused, not ignored or read once
+                      "nodeid=node-a", "node_id=node-a&bogus=1", "node_id=node-a&node_id=node-b",
+                      "limit=1&limit=5"]:
             status, payload = _http("GET", srv.url + "/records?" + query)
             assert status == 400, query
-            assert payload["error"].split()[0] in ("node_id", "since_ms", "limit"), query
+            assert payload["error"].split()[0] in ("node_id", "since_ms", "limit", "nodeid",
+                                                   "bogus"), query
         for query, count in [("since_ms=-5", 1), ("since_ms=1001", 1), ("since_ms=1002", 0),
                              ("limit=03", 1), ("limit=0", 0), ("node_id=node-a", 1),
                              ("node_id=node-a&since_ms=0001001", 1)]:
