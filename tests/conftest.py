@@ -80,8 +80,8 @@ def naive_features(samples):
     peaks = [i for i in range(1, n - 1) if xs[i] > xs[i - 1] and xs[i] > xs[i + 1]]
     avg_peak = sum(xs[i] for i in peaks) / len(peaks) if peaks else 0.0
 
-    skew = m3 / m2**1.5 if m2 > 0 else 0.0
-    kurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
+    skew = m3 / d if (d := m2**1.5) > 0 else 0.0
+    kurt = m4 / d - 3.0 if (d := m2**2) > 0 else 0.0
     crest = x_max / rms if rms > 0 else 0.0
 
     return {

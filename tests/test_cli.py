@@ -190,13 +190,7 @@ def test_select_on_a_malformed_correlation_table_exits_2(tmp_path, capsys, text,
     assert err.startswith("select:") and where in err
 
 
-@pytest.mark.parametrize(
-    "column, cell",
-    [("num_peaks", "inf"), ("num_peaks", "nan"), ("num_peaks", "many"), ("mean", "nan"),
-     ("mean", "inf"), ("kurtosis", "-inf")],
-    ids=["inf", "nan", "many", "mean nan", "mean inf", "kurtosis -inf"],
-)
-def test_a_bad_peak_count_in_features_exits_2(corpus_dir, tmp_path, capsys, column, cell):
+def _sweep_k_refuses_a_cell(corpus_dir, tmp_path, capsys, column, cell):
     lines = (corpus_dir / "features.csv").read_text().splitlines()
     row = lines[3].split(",")
     row[FEATURE_COLUMNS.index(column)] = cell
@@ -207,6 +201,19 @@ def test_a_bad_peak_count_in_features_exits_2(corpus_dir, tmp_path, capsys, colu
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("sweep-k:") and f"{table} line 4" in err
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "many"])
+def test_a_bad_peak_count_in_features_exits_2(corpus_dir, tmp_path, capsys, cell):
+    _sweep_k_refuses_a_cell(corpus_dir, tmp_path, capsys, "num_peaks", cell)
+
+
+@pytest.mark.parametrize(
+    "column, cell", [("mean", "nan"), ("mean", "inf"), ("kurtosis", "-inf")],
+    ids=["mean nan", "mean inf", "kurtosis -inf"],
+)
+def test_a_non_finite_feature_cell_exits_2(corpus_dir, tmp_path, capsys, column, cell):
+    _sweep_k_refuses_a_cell(corpus_dir, tmp_path, capsys, column, cell)
 
 
 @pytest.mark.parametrize("command", ["sweep-k", "train-knn"])

@@ -149,6 +149,15 @@ def test_feature_matrix_edge_windows(name):
         assert close_rel(got, want[column]), (column, got, want[column])
 
 
+@pytest.mark.parametrize("tail", [1e-100, 4.78458439e-144])
+def test_the_reference_agrees_where_a_power_of_the_variance_underflows(tail):
+    samples = [0.0, 0.0, 0.0, tail]
+    (row,) = extract_feature_matrix(np.array([samples]))
+    want = naive_features(samples)
+    for got, column in zip(row, FEATURE_COLUMNS):
+        assert close_rel(got, want[column]), (column, got, want[column])
+
+
 def test_feature_matrix_stacks_edge_windows_of_one_length():
     rows = [[5] * 6, [0] * 6, [1, 2, 3, 4, 5, 6], [9, 2, 9, 2, 7, 3]]
     matrix = extract_feature_matrix(np.array(rows))
