@@ -51,8 +51,7 @@ metrics = evaluate(preds, test_ds.labels, n_classes=len(ds.classes))
 print(f"k-NN  test accuracy {metrics.accuracy:.4f}")
 
 gnb = gnb_train(pool)
-gnb_preds = np.array([gnb_predict(gnb, row) for row in test_ds.rows])
-gnb_metrics = evaluate(gnb_preds, test_ds.labels, n_classes=len(ds.classes))
+gnb_metrics = evaluate(gnb_predict(gnb, test_ds.rows), test_ds.labels, n_classes=len(ds.classes))
 print(f"GNB   test accuracy {gnb_metrics.accuracy:.4f}")
 
 names = [c.value for c in ds.classes]

@@ -15,7 +15,6 @@ from vibsense import (
     CnnHyperparams,
     LabeledDataset,
     extract_features,
-    forward,
     line_chart,
     load_checkpoint,
     predict,
@@ -44,20 +43,19 @@ print(f"final train loss    {h.train_loss[-1]:.4f}")
 print(f"final val accuracy  {h.val_acc[-1]:.4f}")
 print(f"final lr            {h.lr[-1]:g}")
 
-test_x = (test_ds.rows - model.input_mean) / model.input_std
-test_acc = float(np.mean(forward(model, test_x).argmax(axis=1) == test_ds.labels))
+# predict takes raw feature rows and scales them as training did
+probs = predict(model, test_ds.rows)
+test_acc = float(np.mean(probs.argmax(axis=1) == test_ds.labels))
 print(f"test accuracy       {test_acc:.4f}")
 
-# one raw vector end to end
-res = predict(model, test_ds.rows[0])
+top = int(probs[0].argmax())
 truth = model.class_names[test_ds.labels[0]]
-print(f"\nsample 0: predicted {res.class_name} (p={res.probabilities[res.class_index]:.3f}), truth {truth}")
+print(f"\nsample 0: predicted {model.class_names[top]} (p={probs[0, top]:.3f}), truth {truth}")
 
 ckpt = out / "cnn_checkpoint.json"
 save_checkpoint(model, ckpt)
 reloaded = load_checkpoint(ckpt)
-again = (test_ds.rows - reloaded.input_mean) / reloaded.input_std
-assert np.array_equal(forward(model, test_x).argmax(axis=1), forward(reloaded, again).argmax(axis=1))
+assert np.array_equal(probs, predict(reloaded, test_ds.rows))
 print(f"checkpoint round trip OK at {ckpt}")
 
 epochs = list(range(1, len(h.val_acc) + 1))

@@ -19,7 +19,7 @@ _MODULE_OF = {
     **{module: module for module in ["baselines", "cnn", "errors", "features", "heightfit",
                                      "selection", "signalsim", "svgplots", "telemetry"]},
     **dict.fromkeys(["LabeledDataset", "Metrics", "evaluate", "gnb_predict", "gnb_train",
-                     "knn_fit", "knn_predict", "knn_predict_batch", "split", "sweep_k"],
+                     "knn_fit", "knn_predict_batch", "split", "sweep_k"],
                     "baselines"),
     **dict.fromkeys(["CnnModel", "PlateauScheduler", "forward", "grid_combinations",
                      "grid_search", "init_model", "layer_output_sizes", "load_checkpoint",

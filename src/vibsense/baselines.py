@@ -122,12 +122,8 @@ def knn_fit(ds: LabeledDataset) -> KnnModel:
     return KnnModel(norm.transform(ds.rows), ds.labels, norm, len(ds.classes))
 
 
-def knn_predict(model: KnnModel, query, k: int) -> int:
-    """Majority label among the k nearest training rows of one query row."""
-    return int(knn_predict_batch(model, np.atleast_2d(query), k)[0])
-
-
 def knn_predict_batch(model: KnnModel, queries: np.ndarray, k: int) -> np.ndarray:
+    """(n,) majority label among the k nearest training rows of each raw query row (n, F)."""
     if not 1 <= k <= len(model.train_rows):
         raise ValueError(f"k must be in [1, {len(model.train_rows)}], got {k}")
     return _majority_votes(_nearest_labels(model, queries, k), [k], model.n_classes)[:, 0]
@@ -240,17 +236,16 @@ def gnb_train(ds: LabeledDataset) -> GnbModel:
     return GnbModel(log_prior, mean, var, ds.classes)
 
 
-def gnb_log_posterior(model: GnbModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    ll = -0.5 * np.sum(
-        np.log(2 * np.pi * model.var) + (x[None, :] - model.mean) ** 2 / model.var,
-        axis=1,
-    )
+def gnb_log_posterior(model: GnbModel, rows) -> np.ndarray:
+    """(n, C) log posterior of each raw row (n, F), in one broadcast over (n, C, F)."""
+    d2 = (np.asarray(rows, dtype=float)[:, None, :] - model.mean) ** 2
+    ll = -0.5 * np.sum(np.log(2 * np.pi * model.var) + d2 / model.var, axis=2)
     return model.class_log_prior + ll
 
 
-def gnb_predict(model: GnbModel, x) -> int:
-    return int(np.argmax(gnb_log_posterior(model, x)))  # argmax ties -> smallest index
+def gnb_predict(model: GnbModel, rows) -> np.ndarray:
+    """(n,) most probable class of each raw row; argmax ties go to the smallest index."""
+    return gnb_log_posterior(model, rows).argmax(axis=1)
 
 
 @dataclass

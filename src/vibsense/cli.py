@@ -241,8 +241,7 @@ def cmd_train_cnn(args) -> int:
     cnn.save_checkpoint(model, out / "cnn_checkpoint.json")
     _write_history_csv(out / "cnn_history.csv", model.history)
 
-    test_x = (test_ds.rows - model.input_mean) / model.input_std
-    preds = cnn.forward(model, test_x).argmax(axis=1)
+    preds = cnn.predict(model, test_ds.rows).argmax(axis=1)
     metrics = baselines.evaluate(preds, test_ds.labels, len(ds.classes))
     _write_metrics(out / "cnn_metrics.csv", metrics, ds.classes)
     print(f"train-cnn: {_hp_str(hp)} test_accuracy={metrics.accuracy:.4f}")

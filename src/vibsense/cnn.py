@@ -119,13 +119,6 @@ class CnnModel:
     history: TrainingHistory = field(default_factory=TrainingHistory)
 
 
-@dataclass(frozen=True)
-class PredictionResult:
-    probabilities: np.ndarray
-    class_index: int
-    class_name: str
-
-
 def _parameter_shapes(hp: CnnHyperparams) -> list[tuple[int, ...]]:
     """The shape of each array of ``CnnModel.params`` in a model of ``hp``."""
     shapes, c_in = [], 1
@@ -406,13 +399,9 @@ def train(
     return model
 
 
-def predict(model: CnnModel, x) -> PredictionResult:
-    """Probabilities and argmax class for one raw feature vector."""
-    row = np.asarray(x, dtype=float).reshape(1, -1)
-    row = (row - model.input_mean) / model.input_std
-    probs = forward(model, row)[0]
-    idx = int(np.argmax(probs))
-    return PredictionResult(probabilities=probs, class_index=idx, class_name=model.class_names[idx])
+def predict(model: CnnModel, rows) -> np.ndarray:
+    """(n, N) class probabilities of raw feature rows (n, 12), scaled as training scaled them."""
+    return forward(model, (np.asarray(rows, dtype=float) - model.input_mean) / model.input_std)
 
 
 def grid_combinations(grids: dict | None = None) -> list[CnnHyperparams]:

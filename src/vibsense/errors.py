@@ -6,7 +6,7 @@ class VibsenseError(Exception):
 
 
 class InvalidSignalError(VibsenseError):
-    """Analog input contains non-finite samples."""
+    """A signal holds samples its stage cannot take (non-finite, or out of range)."""
 
 
 class InsufficientDataError(VibsenseError):

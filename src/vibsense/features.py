@@ -12,6 +12,8 @@ Conventions (fixed here, used everywhere else):
 * a peak is a strict local maximum over both neighbors, endpoints excluded;
   ``avg_peak_value`` is the mean sample value at peak indices (0 if none).
 * ``crest_factor`` is ``max / rms``; 0 for an all-zero window.
+* every sample must be finite and lie in [-2**63, 2**63), the range that the
+  mode's int64 truncation holds; a window with any other sample is refused.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, InvalidSignalError
 from .schema import FEATURE_COLUMNS, FeatureVector
 from .signalsim import RawWindow
 
@@ -84,16 +86,20 @@ def extract_feature_matrix(samples) -> np.ndarray:
     and each row's range ``hi - lo`` is below the row length, the 3rd and 4th
     powers come from a per-row table of ``(lo + k) - mean`` (exact ``lo + k``)
     gathered with ``x - lo``; other input powers each sample. Raises
-    InsufficientDataError below 4 samples.
+    InsufficientDataError below 4 samples, and InvalidSignalError naming the
+    first row with a sample that is not finite or not in [-2**63, 2**63).
     """
     x = np.asarray(samples, dtype=float)
     n, length = x.shape
     if length < 4:
         raise InsufficientDataError(f"window has {length} samples, need >= 4")
-    mean = np.add.reduce(x, axis=1) / length  # np.mean's own sum and divide, without its wrapper
-    centered = x - mean[:, None]
     ordered = np.sort(x, axis=1)
     lo, hi = ordered[:, 0], ordered[:, -1]
+    held = (lo >= -(2.0**63)) & (hi < 2.0**63)  # NaN sorts last, into hi
+    if not held.all():
+        raise InvalidSignalError(f"row {held.argmin()}: a sample is non-finite or outside int64")
+    mean = np.add.reduce(x, axis=1) / length  # np.mean's own sum and divide, without its wrapper
+    centered = x - mean[:, None]
     ints = ordered.astype(np.int64)
     span = (hi - lo).max(initial=0)
     if span < length and (ordered == ints).all():

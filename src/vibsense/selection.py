@@ -32,7 +32,9 @@ class CorrelationReport:
 
 
 def pearson_r(x, y) -> float:
-    """Pearson correlation via population moments; errors on constant or non-finite input."""
+    """Pearson correlation via population moments. Raises UndefinedCorrelationError
+    if a sequence is constant (min == max), and ValueError on non-finite input or
+    if a mean squared deviation overflows to inf or underflows to 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -41,12 +43,17 @@ def pearson_r(x, y) -> float:
         raise ValueError("need at least 3 points")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite")
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = np.sqrt(np.mean(xd**2))
-    sy = np.sqrt(np.mean(yd**2))
-    if sx == 0 or sy == 0:
+    if x.min() == x.max() or y.min() == y.max():
         raise UndefinedCorrelationError("correlation undefined for a constant sequence")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, with a reason
+        xd = x - x.mean()
+        yd = y - y.mean()
+        sx = np.sqrt(np.mean(xd**2))
+        sy = np.sqrt(np.mean(yd**2))
+    for name, s in (("x", sx), ("y", sy)):
+        if not 0 < s < np.inf:
+            raise ValueError(f"the mean squared deviation of {name} "
+                             f"{'underflows to 0' if s == 0 else 'overflows'} in float64")
     r = float(np.mean(xd * yd) / (sx * sy))
     return min(1.0, max(-1.0, r))
 
@@ -75,20 +82,24 @@ def p_value(r: float, n: int) -> float:
 def correlation_table(
     ds: LabeledDataset, feature_names: list[str] | None = None
 ) -> CorrelationReport:
-    """Per-feature r and p against the class index."""
+    """Per-feature r and p against the class index; ValueError unless ``feature_names``
+    (by default :data:`FEATURE_COLUMNS`) holds one name per column of ``ds``."""
+    names = list(FEATURE_COLUMNS if feature_names is None else feature_names)
+    if len(names) != ds.rows.shape[1]:
+        raise ValueError(f"{len(names)} feature names for {ds.rows.shape[1]} columns; "
+                         "pass feature_names for a subset of the columns")
     if len(ds) < 3:
         raise ValueError("need at least 3 samples")
     encoded = ds.labels.astype(float)
     if np.unique(encoded).size < 2:
         raise UndefinedCorrelationError("correlation undefined for a single-class dataset")
 
-    names = feature_names or FEATURE_COLUMNS[: ds.rows.shape[1]]
     r = np.empty(ds.rows.shape[1])
     p = np.empty(ds.rows.shape[1])
     for j in range(ds.rows.shape[1]):
         r[j] = pearson_r(ds.rows[:, j], encoded)
         p[j] = p_value(r[j], len(ds))
-    return CorrelationReport(features=list(names), r=r, p=p, n=len(ds))
+    return CorrelationReport(features=names, r=r, p=p, n=len(ds))
 
 
 def select_features(report: CorrelationReport) -> np.ndarray:

@@ -15,7 +15,6 @@ from vibsense.baselines import (
     gnb_predict,
     gnb_train,
     knn_fit,
-    knn_predict,
     knn_predict_batch,
     split,
     sweep_k,
@@ -168,12 +167,13 @@ def test_knn_tie_breaks():
     rows = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     ds = _dataset(rows, [3, 1, 2, 0])
     model = knn_fit(ds)
+    origin = np.zeros((1, 2))
     # distance tie at k=1 -> lower row index wins
-    assert knn_predict(model, [0.0, 0.0], 1) == 3
+    assert knn_predict_batch(model, origin, 1).tolist() == [3]
     # vote tie at k=2 (labels 3 and 1) -> smallest class index wins
-    assert knn_predict(model, [0.0, 0.0], 2) == 1
+    assert knn_predict_batch(model, origin, 2).tolist() == [1]
     # all four vote once at k=4 -> class 0 by tie-break
-    assert knn_predict(model, [0.0, 0.0], 4) == 0
+    assert knn_predict_batch(model, origin, 4).tolist() == [0]
 
 
 def test_knn_k_out_of_range():
@@ -292,24 +292,23 @@ def test_gnb_disjoint_ranges():
     labels = np.array([0] * 30 + [1] * 30)
     ds = _dataset(rows.reshape(-1, 1), labels)
     model = gnb_train(ds)
-    assert all(gnb_predict(model, [x]) == 0 for x in (0.2, 0.5, 0.9))
-    assert all(gnb_predict(model, [x]) == 1 for x in (10.1, 10.5, 10.9))
+    assert gnb_predict(model, [[0.2], [10.1], [0.5], [10.5], [0.9], [10.9]]).tolist() == [0, 1] * 3
 
 
 def test_gnb_midpoint_tie_prefers_smallest_class():
     rows = [[-2.0], [-1.0], [1.0], [2.0]]
     ds = _dataset(rows, [0, 0, 1, 1])
     model = gnb_train(ds)
-    assert gnb_predict(model, [0.0]) == 0
+    assert gnb_predict(model, [[0.0]]).tolist() == [0]
 
 
 def test_gnb_log_posterior_formula():
     ds = _random_dataset(150, seed=15)
     model = gnb_train(ds)
-    rng = np.random.default_rng(16)
-    for _ in range(10):
-        x = rng.normal(0, 3, size=4)
-        got = gnb_log_posterior(model, x)
+    rows = np.random.default_rng(16).normal(0, 3, size=(10, 4))
+    batch = gnb_log_posterior(model, rows)
+    assert batch.shape == (10, 5)
+    for x, got in zip(rows, batch):
         for c in range(5):
             prior = np.log(np.mean(ds.labels == c))
             ll = sum(
@@ -329,7 +328,7 @@ def test_gnb_variance_floor_handles_constant_features():
     ds = _dataset([[1.0, 5.0], [1.0, 6.0], [2.0, 0.0], [2.0, 1.0]], [0, 0, 1, 1])
     model = gnb_train(ds)
     assert np.all(model.var > 0)
-    assert gnb_predict(model, [1.0, 5.5]) == 0
+    assert gnb_predict(model, [[1.0, 5.5]]).tolist() == [0]
 
 
 # ------------------------------------------------------------------ evaluate

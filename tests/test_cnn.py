@@ -551,12 +551,19 @@ def test_grid_search_real_training_smoke():
 def test_predict_probabilities_are_a_distribution():
     model = init_model(HP_SMALL, seed=29)
     rows = np.random.default_rng(30).normal(size=(1000, 12))
-    probs = forward(model, rows)
+    probs = predict(model, rows)
     assert np.all(probs >= 0) and np.all(probs <= 1)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    one = predict(model, rows[0])
-    assert one.class_index == int(np.argmax(one.probabilities))
-    assert one.class_name == model.class_names[one.class_index]
+
+
+def test_predict_scales_raw_rows_as_training_did_bit_for_bit():
+    model = init_model(HP_SMALL, seed=29)
+    rng = np.random.default_rng(30)
+    model.input_mean, model.input_std = rng.normal(size=12), rng.uniform(0.5, 2.0, size=12)
+    rows = rng.normal(3.0, 4.0, size=(40, 12))
+    probs = predict(model, rows)
+    assert probs.shape == (40, HP_SMALL.n_classes)
+    assert np.array_equal(probs, forward(model, (rows - model.input_mean) / model.input_std))
 
 
 def test_predict_invariant_to_dense_bias_shift():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIELD_SAMPLE_ROWS, close_rel, naive_features
-from vibsense.errors import InsufficientDataError
+from vibsense.errors import InsufficientDataError, InvalidSignalError
 from vibsense.features import (
     CSV_HEADERS,
     FEATURE_COLUMNS,
@@ -252,6 +252,39 @@ def test_feature_matrix_moments_equal_the_elementwise_formula_bit_for_bit(sample
     assert column["skewness"] == skewness and column["kurtosis"] == kurtosis
     for row, window in zip(matrix, samples):
         assert (row == extract_features(_window(window)).as_array()).all()
+
+
+@st.composite
+def _matrices_with_a_refused_row(draw):
+    """An (n, N) float matrix and the index of its first row with a sample that is
+    not finite or not in [-2**63, 2**63); the rows before it are in range."""
+    n, length = draw(st.integers(1, 4)), draw(st.integers(4, 12))
+    cells = st.lists(st.floats(-(2.0**62), 2.0**62), min_size=length, max_size=length)
+    rows = [draw(cells) for _ in range(n)]
+    bad = draw(st.integers(0, n - 1))
+    unholdable = st.floats(allow_nan=True).filter(lambda v: not -(2.0**63) <= v < 2.0**63)
+    rows[bad][draw(st.integers(0, length - 1))] = draw(unholdable)
+    return np.array(rows), bad
+
+
+@given(_matrices_with_a_refused_row())
+@example((np.array([[0.0, 0.0, 0.0, 1e78]]), 0))  # m2**2 raised OverflowError
+@example((np.array([[0.0, 0.0, 0.0, 1e155]]), 0))  # NaN skewness and kurtosis
+@example((np.array([[1e30, 1e30, 1e30, 2.0]]), 0))  # the int64 mode wrapped to -2**63
+@example((np.array([[math.nan, 1.0, 2.0, 3.0]]), 0))  # mode 1, skewness and kurtosis 0
+@example((np.array([[math.inf, 1.0, 2.0, 3.0]]), 0))
+@example((np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 2.0**63]]), 1))
+@settings(max_examples=100, deadline=None)
+def test_feature_matrix_refuses_a_sample_it_cannot_hold(case):
+    samples, row = case
+    with pytest.raises(InvalidSignalError, match=f"^row {row}: "):
+        extract_feature_matrix(samples)
+
+
+def test_feature_matrix_takes_both_ends_of_the_sample_range():
+    (row,) = extract_feature_matrix(np.array([[-(2.0**63), 0.0, 0.0, 2.0**63 - 1024]]))
+    assert np.isfinite(row).all()
+    assert row[FEATURE_COLUMNS.index("mode")] == 0.0
 
 
 def test_feature_matrix_of_no_rows_has_twelve_columns():

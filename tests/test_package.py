@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "encode_record", "errors", "evaluate", "extract_feature_matrix", "extract_features",
     "features", "find_peaks", "floor_profile", "forward", "front_end", "gnb_predict", "gnb_train",
     "grid_combinations", "grid_search", "heatmap", "height_analysis", "heightfit", "init_model",
-    "knn_fit", "knn_predict", "knn_predict_batch", "layer_output_sizes", "line_chart",
+    "knn_fit", "knn_predict_batch", "layer_output_sizes", "line_chart",
     "linear_fit", "load_checkpoint", "node_emulator", "p_value", "pearson_r", "predict",
     "read_correlation_csv", "read_feature_csv", "read_window_csv", "save_checkpoint", "save_svg",
     "scan_store", "scatter_chart", "select_features", "selection", "signalsim",

@@ -78,6 +78,19 @@ def test_pearson_matches_scipy():
 def test_pearson_errors():
     with pytest.raises(UndefinedCorrelationError):
         pearson_r([1, 1, 1, 1], [1, 2, 3, 4])
+    # constant means min == max, whatever the rounding of the mean leaves as deviations
+    for constant in ([0.1] * 3, [0.3] * 5):
+        with pytest.raises(UndefinedCorrelationError, match="constant"):
+            pearson_r(constant, list(range(len(constant))))
+        with pytest.raises(UndefinedCorrelationError, match="constant"):
+            pearson_r(list(range(len(constant))), constant)
+    # not constant, but the mean squared deviation leaves float64: not r = 0, not "constant"
+    for scaled, reason in ((1e200, "overflows"), (1e-170, "underflows")):
+        column = [scaled * v for v in (1, 2, 3, 5)]
+        with pytest.raises(ValueError, match=f"deviation of x {reason}"):
+            pearson_r(column, [1, 2, 3, 4])
+        with pytest.raises(ValueError, match=f"deviation of y {reason}"):
+            pearson_r([1, 2, 3, 4], column)
     with pytest.raises(ValueError):
         pearson_r([1, 2], [1, 2])
     with pytest.raises(ValueError):
@@ -190,7 +203,7 @@ def test_correlation_table_noise_feature_stays_insignificant():
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         rows = rng.normal(size=(1000, 1))
-        report = correlation_table(_dataset(rows, labels))
+        report = correlation_table(_dataset(rows, labels), feature_names=["x"])
         assert abs(report.r[0]) < 0.1
         assert report.p[0] > 0.001
 
@@ -202,16 +215,31 @@ def test_correlation_table_shuffled_labels_center_zero():
     rs = []
     for _ in range(200):
         perm = rng.permutation(300)
-        report = correlation_table(_dataset(rows, labels[perm]))
+        report = correlation_table(_dataset(rows, labels[perm]), feature_names=["x"])
         rs.append(report.r[0])
     assert abs(float(np.mean(rs))) < 0.02
 
 
 def test_correlation_table_errors():
     with pytest.raises(UndefinedCorrelationError):
-        correlation_table(_dataset([[1.0], [2.0], [3.0]], [2, 2, 2]))
+        correlation_table(_dataset([[1.0], [2.0], [3.0]], [2, 2, 2]), feature_names=["x"])
     with pytest.raises(ValueError):
-        correlation_table(_dataset([[1.0], [2.0]], [0, 1]))
+        correlation_table(_dataset([[1.0], [2.0]], [0, 1]), feature_names=["x"])
+
+
+def test_correlation_table_wants_one_name_per_column():
+    labels = np.repeat(np.arange(5), 4)
+    rows = np.random.default_rng(9).normal(size=(20, len(FEATURE_COLUMNS))) + labels[:, None]
+    ds = _dataset(rows, labels)
+    assert correlation_table(ds).features == list(FEATURE_COLUMNS)
+    subset = ds.select_columns([name in ("mean", "std_dev", "rms") for name in FEATURE_COLUMNS])
+    with pytest.raises(ValueError, match="3 columns"):  # was labelled mean, mode, median
+        correlation_table(subset)
+    report = correlation_table(subset, feature_names=["mean", "std_dev", "rms"])
+    assert report.features == ["mean", "std_dev", "rms"]
+    for names in (["a", "b"], ["a", "b", "c", "d"], []):  # ["a", "b"] dropped the third row
+        with pytest.raises(ValueError, match=f"{len(names)} feature names for 3 columns"):
+            correlation_table(subset, feature_names=names)
 
 
 # ---------------------------------------------------------------------- csv
