@@ -86,6 +86,15 @@ def _shuffled_groups(ds: LabeledDataset, seed: int, stratified: bool = True) -> 
     return [members[rng.permutation(len(members))] for members in groups]
 
 
+def feature_rows(rows, width: int) -> np.ndarray:
+    """``rows`` as a float (n, width) array, the one input shape of every batch prediction
+    call; ValueError naming that shape otherwise, a lone 1-D row included."""
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"expected input shape (n, {width}), got {x.shape}")
+    return x
+
+
 class Normalizer:
     """Per-feature z-scoring fit on a training split.
 
@@ -126,6 +135,7 @@ def knn_predict_batch(model: KnnModel, queries: np.ndarray, k: int) -> np.ndarra
     """(n,) majority label among the k nearest training rows of each raw query row (n, F)."""
     if not 1 <= k <= len(model.train_rows):
         raise ValueError(f"k must be in [1, {len(model.train_rows)}], got {k}")
+    queries = feature_rows(queries, len(model.normalizer.mean))
     return _majority_votes(_nearest_labels(model, queries, k), [k], model.n_classes)[:, 0]
 
 
@@ -238,7 +248,7 @@ def gnb_train(ds: LabeledDataset) -> GnbModel:
 
 def gnb_log_posterior(model: GnbModel, rows) -> np.ndarray:
     """(n, C) log posterior of each raw row (n, F), in one broadcast over (n, C, F)."""
-    d2 = (np.asarray(rows, dtype=float)[:, None, :] - model.mean) ** 2
+    d2 = (feature_rows(rows, model.mean.shape[1])[:, None, :] - model.mean) ** 2
     ll = -0.5 * np.sum(np.log(2 * np.pi * model.var) + d2 / model.var, axis=2)
     return model.class_log_prior + ll
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import LabeledDataset, cv_folds
+from .baselines import LabeledDataset, cv_folds, feature_rows
 from .errors import DivergenceError
 from .schema import DEFAULT_GRIDS, DEPTH, EPOCHS, FEATURE_COLUMNS, CnnHyperparams  # noqa: F401 (cnn.DEPTH)
 
@@ -196,9 +196,7 @@ def _conv_backward(d_out: np.ndarray, weights: np.ndarray, activation: str, cach
 
 def forward(model: CnnModel, batch: np.ndarray, return_cache: bool = False):
     """Class probabilities for a batch shaped (n, 12)."""
-    x = np.asarray(batch, dtype=float)
-    if x.ndim != 2 or x.shape[1] != INPUT_LEN:
-        raise ValueError(f"expected input shape (n, {INPUT_LEN}), got {x.shape}")
+    x = feature_rows(batch, INPUT_LEN)
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
 
@@ -401,7 +399,7 @@ def train(
 
 def predict(model: CnnModel, rows) -> np.ndarray:
     """(n, N) class probabilities of raw feature rows (n, 12), scaled as training scaled them."""
-    return forward(model, (np.asarray(rows, dtype=float) - model.input_mean) / model.input_std)
+    return forward(model, (feature_rows(rows, INPUT_LEN) - model.input_mean) / model.input_std)
 
 
 def grid_combinations(grids: dict | None = None) -> list[CnnHyperparams]:

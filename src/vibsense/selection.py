@@ -9,6 +9,7 @@ the reference correlation table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,11 @@ class CorrelationReport:
 
 def pearson_r(x, y) -> float:
     """Pearson correlation via population moments. Raises UndefinedCorrelationError
-    if a sequence is constant (min == max), and ValueError on non-finite input or
-    if a mean squared deviation overflows to inf or underflows to 0."""
+    if a sequence is constant (min == max), and ValueError on non-finite input.
+
+    Each sequence is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1). That is exact and leaves r's bits as they were at
+    ordinary scales, and no product of deviations overflows or goes subnormal."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -45,38 +49,89 @@ def pearson_r(x, y) -> float:
         raise ValueError("x and y must be finite")
     if x.min() == x.max() or y.min() == y.max():
         raise UndefinedCorrelationError("correlation undefined for a constant sequence")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, with a reason
-        xd = x - x.mean()
-        yd = y - y.mean()
-        sx = np.sqrt(np.mean(xd**2))
-        sy = np.sqrt(np.mean(yd**2))
-    for name, s in (("x", sx), ("y", sy)):
-        if not 0 < s < np.inf:
-            raise ValueError(f"the mean squared deviation of {name} "
-                             f"{'underflows to 0' if s == 0 else 'overflows'} in float64")
-    r = float(np.mean(xd * yd) / (sx * sy))
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    xd = x - x.mean()
+    yd = y - y.mean()
+    r = float(np.mean(xd * yd) / (np.sqrt(np.mean(xd**2)) * np.sqrt(np.mean(yd**2))))
     return min(1.0, max(-1.0, r))
 
 
 def p_value(r: float, n: int) -> float:
     """Two-sided p of observing |r| under the null, exact t distribution.
 
-    Uses t = r * sqrt((n - 2) / (1 - r^2)) with n - 2 degrees of freedom;
-    the tail mass comes from the regularized incomplete beta function, so
-    extreme thresholds (5e-5 at n ~ 1000) stay accurate. scipy loads on the
-    first call, so only the commands that select features pay its import.
+    With t = r * sqrt((n - 2) / (1 - r^2)) on n - 2 degrees of freedom, the tail
+    mass is I_{1-r^2}((n - 2) / 2, 1/2), the regularized incomplete beta function,
+    so extreme thresholds (5e-5 at n ~ 1000) stay accurate.
     """
-    from scipy.special import betainc
-
     if n < 3:
         raise ValueError("need n >= 3")
     if not -1 <= r <= 1:
         raise ValueError("r must lie in [-1, 1]")
     if abs(r) == 1.0:
         return 0.0
-    df = n - 2
-    t2 = r * r * df / (1.0 - r * r)
-    return float(betainc(df / 2.0, 0.5, df / (df + t2)))
+    r2 = r * r
+    if r2 == 0.0:  # r = 0, or so small that the tail is 1 to rounding
+        return 1.0
+    return _betainc((n - 2) / 2.0, 0.5, 1.0 - r2, r2)
+
+
+_BETAINC_MAX_TERMS = 1000  # p_value needs at most 56 from n = 3 to 10^7
+_TINY = 1e-300  # Lentz's guard against a zero denominator
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for 0 < x < 1, given y = 1 - x apart.
+
+    Lentz's method (Numerical Recipes 3rd ed. §5.2) evaluates DiDonato and
+    Morris's continued fraction (ACM TOMS 18(3), 1992, Algorithm 708, BFRAC),
+    whose terms take lambda = a - (a + b) x from whichever of x and y is smaller:
+    the Numerical Recipes §6.4 fraction computes 1 - (a + b) x / (a + 1), which
+    cancels to ~1e-10 relative when a ~ 1e6 and x ~ 1. The fraction converges
+    fast for x < (a + 1) / (a + b + 2), so beyond that I_x(a, b) is taken as
+    1 - I_y(b, a).
+    """
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x, y = b, a, y, x
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b))  # x^a y^b / B(a, b)
+    if front == 0.0:
+        return 1.0 if flip else 0.0
+    lam = a - (a + b) * x if x < y else (a + b) * y - b
+    f = c = (1.0 + lam) * a / (a + 1.0)
+    d = 0.0
+    for n in range(1, _BETAINC_MAX_TERMS + 1):
+        w = a + 2 * n - 1
+        alpha = n * (b - n) * (a + n - 1) * (a + b + n - 1) * x * x / (w * w)
+        beta = n + n * (b - n) * x / w + (a + n) * (1.0 + lam + n * (1.0 + y)) / (w + 2)
+        d = beta + alpha * d
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = beta + alpha / c
+        c = c if abs(c) > _TINY else _TINY
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return 1.0 - front / f if flip else front / f
+    raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}): no convergence "
+                          f"in {_BETAINC_MAX_TERMS} terms")
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b). Once the larger argument reaches 30, lgamma(a) - lgamma(a + b)
+    comes from Stirling's series, where two lgammas would lose ~1e-16 of a ln a."""
+    a, b = max(a, b), min(a, b)
+    if a < 30:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (math.lgamma(b) + b - b * math.log(a) - (a + b - 0.5) * math.log1p(b / a)
+            + _stirling_remainder(a) - _stirling_remainder(a + b))
+
+
+def _stirling_remainder(a: float) -> float:
+    """lgamma(a) - ((a - 1/2) ln a - a + ln sqrt(2 pi)), to rounding for a >= 30."""
+    z = 1.0 / (a * a)
+    return (1 / 12 - z * (1 / 360 - z * (1 / 1260 - z / 1680))) / a
 
 
 def correlation_table(

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from vibsense import cnn
 from vibsense.baselines import (
     LabeledDataset,
     Normalizer,
@@ -329,6 +331,28 @@ def test_gnb_variance_floor_handles_constant_features():
     model = gnb_train(ds)
     assert np.all(model.var > 0)
     assert gnb_predict(model, [[1.0, 5.5]]).tolist() == [0]
+
+
+# ----------------------------------------------------- batch prediction rows
+
+
+@pytest.mark.parametrize("call", ["gnb_predict", "gnb_log_posterior", "knn_predict_batch",
+                                  "cnn.predict"])
+def test_a_lone_1d_row_is_refused_with_the_expected_shape(call):
+    # was a bare IndexError (gnb), a silent one-row batch (knn) and this ValueError (cnn)
+    ds = _random_dataset(60, n_features=12, seed=4)
+    gnb, knn = gnb_train(ds), knn_fit(ds)
+    model = cnn.init_model(cnn.CnnHyperparams(batch_size=50, kernel_length=3, base_filters=4), 0)
+    predict = {"gnb_predict": lambda rows: gnb_predict(gnb, rows),
+               "gnb_log_posterior": lambda rows: gnb_log_posterior(gnb, rows),
+               "knn_predict_batch": lambda rows: knn_predict_batch(knn, rows, 3),
+               "cnn.predict": lambda rows: cnn.predict(model, rows)}[call]
+    with pytest.raises(ValueError, match=re.escape("expected input shape (n, 12), got (12,)")):
+        predict(ds.rows[0])
+    with pytest.raises(ValueError, match=re.escape("expected input shape (n, 12), got (1, 11)")):
+        predict(ds.rows[:1, :11])
+    assert len(predict(ds.rows[:1])) == 1
+    assert len(predict(ds.rows)) == len(ds)
 
 
 # ------------------------------------------------------------------ evaluate

@@ -615,8 +615,11 @@ def _vibsense_child(argv, cwd):
 
 
 def _imported(cwd) -> set[str]:
+    """The modules the child's import log names; no CLI command may load scipy."""
     lines = (cwd / "importtime.txt").read_text().splitlines()
-    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    assert not {m for m in imported if m.split(".")[0] == "scipy"}, "scipy is a test-only dependency"
+    return imported
 
 
 def _imports_of(argv, cwd) -> set[str]:
@@ -648,9 +651,10 @@ def test_serve_and_report_start_without_numpy(tmp_path):
     assert "numpy" not in _imports_of(["report", "--store", str(store)], tmp_path)
 
 
-@pytest.mark.parametrize("stage", ["fit-height", "extract"])
+@pytest.mark.parametrize("stage", ["fit-height", "extract", "select"])
 def test_a_corpus_stage_imports_neither_the_cnn_nor_the_server(corpus_dir, tmp_path, stage):
-    argv = ["--floors", "2"] if stage == "fit-height" else ["--windows", str(corpus_dir / "windows")]
+    argv = {"fit-height": ["--floors", "2"], "extract": ["--windows", str(corpus_dir / "windows")],
+            "select": ["--features", str(corpus_dir / "features.csv")]}[stage]
     imported = _imports_of([stage, *argv, "--out", str(tmp_path)], tmp_path)
     assert "vibsense.signalsim" in imported
     assert not {"vibsense.cnn", "vibsense.telemetry", "http.server"} & imported
@@ -662,3 +666,29 @@ def test_train_cnn_imports_no_telemetry(corpus_dir, tmp_path):
     imported = _imports_of(argv, tmp_path)
     assert "vibsense.cnn" in imported
     assert not {"vibsense.telemetry", "http.server"} & imported
+
+
+_BLOCK_SCIPY = """
+import importlib.abc, runpy, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r} (blocked)", name=name)
+
+sys.meta_path.insert(0, BlockScipy())
+sys.argv = ["vibsense", *sys.argv[1:]]
+runpy.run_module("vibsense", run_name="__main__")
+"""
+
+
+def test_select_runs_where_scipy_cannot_be_imported(corpus_dir, tmp_path):
+    assert cli.main(["select", "--features", str(corpus_dir / "features.csv"),
+                     "--out", str(tmp_path / "here")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY, "select", "--features",
+                           str(corpus_dir / "features.csv"), "--out", str(tmp_path / "blocked")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("selected_features.json", "correlation.csv"):
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
