@@ -87,11 +87,13 @@ def _shuffled_groups(ds: LabeledDataset, seed: int, stratified: bool = True) -> 
 
 
 def feature_rows(rows, width: int) -> np.ndarray:
-    """``rows`` as a float (n, width) array, the one input shape of every batch prediction
-    call; ValueError naming that shape otherwise, a lone 1-D row included."""
+    """``rows`` as a finite float (n, width) array, the one input of every batch prediction
+    call; ValueError otherwise, naming the shape when it is wrong, a lone 1-D row included."""
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"expected input shape (n, {width}), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("input contains non-finite values")
     return x
 
 

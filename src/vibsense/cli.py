@@ -38,6 +38,8 @@ def _load_dataset(args):
 
     path = _in_path(args, "features", "features.csv")
     vectors, labels = read_feature_csv(path)
+    if not labels:
+        raise ValueError(f"{path}: no rows below the header")
     if any(lbl is None for lbl in labels):
         raise ValueError(f"{path}: every row needs a class label")
     return baselines.LabeledDataset.from_vectors(

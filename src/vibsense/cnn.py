@@ -197,8 +197,6 @@ def _conv_backward(d_out: np.ndarray, weights: np.ndarray, activation: str, cach
 def forward(model: CnnModel, batch: np.ndarray, return_cache: bool = False):
     """Class probabilities for a batch shaped (n, 12)."""
     x = feature_rows(batch, INPUT_LEN)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
 
     caches = []
     *conv, dense_w, dense_b = model.params

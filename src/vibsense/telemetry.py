@@ -293,7 +293,7 @@ def _line_pattern() -> re.Pattern:
 
 def _load(store_path, lines) -> tuple[list, list]:
     """Each line's ``(node_id, timestamp_ms, seq)``, and what :meth:`StoreIndex.line` starts
-    from: the :func:`_line_pattern` match, or else the record ``decode_record`` made of it."""
+    from: the :func:`_line_pattern` match, or else ``encode_record(decode_record(line))``."""
     keys, loaded = [], []
     fullmatch = _line_pattern().fullmatch
     for lineno, line in enumerate(lines, start=1):
@@ -304,7 +304,7 @@ def _load(store_path, lines) -> tuple[list, list]:
         else:
             record = _decode_line(store_path, lineno, line)
             keys.append(record_key(record))
-            loaded.append(record)
+            loaded.append(encode_record(record))
     return keys, loaded
 
 
@@ -320,8 +320,8 @@ class StoreIndex:
     """
 
     def __init__(self, keys=(), lines=()):
-        # per record: its canonical line, or until its first answer checks that, what _load gave
-        self.lines: list[bytes | re.Match | TelemetryRecord] = list(lines)
+        # per record: its canonical line, or until its first answer checks that, the match
+        self.lines: list[bytes | re.Match] = list(lines)
         self.by_node: dict[str, list[tuple[int, int, int]]] = {}
         self.max_seq: dict[str, int] = {}
         for position, key in enumerate(keys):
@@ -344,27 +344,16 @@ class StoreIndex:
     def line(self, position: int) -> bytes:
         """The canonical line of the record at ``position``, worked out at most once."""
         line = self.lines[position]
-        if isinstance(line, bytes):
-            return line
         if isinstance(line, re.Match):  # the line itself if json spells its numbers so, not "1.50"
             numbers = b"[" + b",".join(line.groups()[3:]) + b"]"  # the groups after node, time, seq
             canonical = _compact_json(json.loads(numbers)).encode() == numbers
-            line = line.string if canonical else decode_record(line.string)
-        if isinstance(line, TelemetryRecord):
-            line = encode_record(line)
-        self.lines[position] = line
+            line = line.string if canonical else encode_record(decode_record(line.string))
+            self.lines[position] = line
         return line
 
     def node_statuses(self) -> list[NodeStatus]:
         # a node's last key holds its latest timestamp
         return [NodeStatus(n, keys[-1][0], len(keys)) for n, keys in sorted(self.by_node.items())]
-
-
-def _window(keys, since_ms, limit):
-    """A copy of the sorted ``keys`` from ``since_ms`` on (inclusive), at most ``limit``."""
-    # (since_ms,) sorts before every key whose timestamp is since_ms
-    start = 0 if since_ms is None else bisect_left(keys, (since_ms,))
-    return keys[start : None if limit is None else start + limit]
 
 
 class _ServiceState:
@@ -404,17 +393,16 @@ class _ServiceState:
     def query(self, node_id=None, since_ms=None, limit=None) -> list[bytes]:
         """Canonical lines in ``(timestamp_ms, seq)`` order: one node's records or all of them,
         from ``since_ms`` on (inclusive), at most ``limit``."""
-        index = self.index
+        index, keys = self.index, []
+        since = () if since_ms is None else (since_ms,)  # sorts before each key from since_ms on
         with self.lock:
-            if node_id is None:  # a copy of every key, sorted below so ingests need not wait
-                keys = [key for node_keys in index.by_node.values() for key in node_keys]
-            else:
-                keys = _window(index.by_node.get(node_id, []), since_ms, limit)
-        if node_id is None:
-            keys.sort()
-            keys = _window(keys, since_ms, limit)
+            chosen = index.by_node.values() if node_id is None else [index.by_node.get(node_id, [])]
+            for node_keys in chosen:
+                start = bisect_left(node_keys, since)
+                keys += node_keys[start : None if limit is None else start + limit]
+        keys.sort()  # one node's keys are in order already, so theirs is a linear sort
         # unlocked: positions never move, and a racing first answer stores the same bytes
-        return [index.line(position) for _, _, position in keys]
+        return [index.line(position) for _, _, position in keys[:limit]]
 
     def close(self):
         self._fh.close()
@@ -424,9 +412,9 @@ class _ServiceState:
 # Content-Length (int() would also take "+3", "1_001" and " 3 "), and no more
 # digits than int() reads
 _QUERY_SPELLINGS = {
-    "node_id": (".+", "non-empty"),
-    "since_ms": ("-?[0-9]{1,4300}", "an integer"),
-    "limit": ("[0-9]{1,4300}", "a non-negative integer"),
+    "node_id": (".+", "non-empty", str),
+    "since_ms": ("-?[0-9]{1,4300}", "an integer", int),
+    "limit": ("[0-9]{1,4300}", "a non-negative integer", int),
 }
 
 
@@ -529,9 +517,8 @@ class _Handler(BaseHTTPRequestHandler):
                     continue
                 self._send(400, {"error": error})
                 return
-            node_id = params["node_id"][0] if "node_id" in params else None
-            since_ms, limit = (int(params[k][0]) if k in params else None for k in ("since_ms", "limit"))
-            lines = self.server.state.query(node_id, since_ms, limit)
+            args = {name: _QUERY_SPELLINGS[name][2](values[0]) for name, values in params.items()}
+            lines = self.server.state.query(**args)
             # each line is encode_record's output: the bytes of _send(200, {"records": [...]})
             self._send_body(200, b'{"records":[' + b",".join(lines) + b"]}")
             return
@@ -647,7 +634,8 @@ def node_emulator(
         raise ValueError(f"interval_s must be between 0 and 86400 (a day), got {interval_s}")
     node_id = node_id or f"{profile.structure.value}-node"
     time_fn = time_fn or (lambda: int(time.time() * 1000))
-    is_http = isinstance(endpoint, str) and endpoint.startswith(("http://", "https://"))
+    # RFC 3986 3.1: a scheme is case-insensitive
+    is_http = isinstance(endpoint, str) and endpoint.lower().startswith(("http://", "https://"))
     if is_http:
         url = endpoint if endpoint.endswith("/ingest") else endpoint.rstrip("/") + "/ingest"
     sink = None if is_http else _ServiceState(endpoint)

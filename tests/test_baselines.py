@@ -339,7 +339,8 @@ def test_gnb_variance_floor_handles_constant_features():
 @pytest.mark.parametrize("call", ["gnb_predict", "gnb_log_posterior", "knn_predict_batch",
                                   "cnn.predict"])
 def test_a_lone_1d_row_is_refused_with_the_expected_shape(call):
-    # was a bare IndexError (gnb), a silent one-row batch (knn) and this ValueError (cnn)
+    # was a bare IndexError (gnb), a silent one-row batch (knn) and this ValueError (cnn);
+    # a non-finite row got a class from gnb and knn
     ds = _random_dataset(60, n_features=12, seed=4)
     gnb, knn = gnb_train(ds), knn_fit(ds)
     model = cnn.init_model(cnn.CnnHyperparams(batch_size=50, kernel_length=3, base_filters=4), 0)
@@ -351,6 +352,11 @@ def test_a_lone_1d_row_is_refused_with_the_expected_shape(call):
         predict(ds.rows[0])
     with pytest.raises(ValueError, match=re.escape("expected input shape (n, 12), got (1, 11)")):
         predict(ds.rows[:1, :11])
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = ds.rows[:3].copy()
+        rows[1, 4] = bad
+        with pytest.raises(ValueError, match="input contains non-finite values"):
+            predict(rows)
     assert len(predict(ds.rows[:1])) == 1
     assert len(predict(ds.rows)) == len(ds)
 

@@ -216,6 +216,16 @@ def test_a_non_finite_feature_cell_exits_2(corpus_dir, tmp_path, capsys, column,
     _sweep_k_refuses_a_cell(corpus_dir, tmp_path, capsys, column, cell)
 
 
+@pytest.mark.parametrize("command", ["select", "sweep-k", "train-knn", "train-cnn", "grid-search"])
+def test_a_features_table_without_rows_exits_2_naming_it(corpus_dir, tmp_path, capsys, command):
+    # was numpy's "need at least one array to stack"
+    table = tmp_path / "features.csv"
+    table.write_text((corpus_dir / "features.csv").read_text().splitlines(keepends=True)[0])
+    code = cli.main([command, "--features", str(table), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"{command}: {table}: no rows below the header\n"
+
+
 @pytest.mark.parametrize("command", ["sweep-k", "train-knn"])
 @pytest.mark.parametrize(
     "text",

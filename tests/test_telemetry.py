@@ -1191,6 +1191,18 @@ def test_emulator_live_server_rerun_is_exactly_once(tmp_path):
         assert [r.features for r in stored] == [r.features for r in first]
 
 
+def test_emulator_takes_an_upper_case_scheme_as_a_url(tmp_path, monkeypatch):
+    # a scheme is case-insensitive (RFC 3986 3.1); this one was taken for a store path
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "store.jsonl"
+    profile = DEFAULT_PROFILES[StructureClass.BUILDING]
+    with TelemetryServer(path) as srv:
+        url = f"HTTP://{srv.host}:{srv.port}/ingest"
+        sent = node_emulator(profile, url, interval_s=0.0, count=2, seed=0)
+    assert scan_store(path) == sent
+    assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+
+
 def test_emulator_custom_identity_and_start_seq(tmp_path):
     sink = tmp_path / "sink.jsonl"
     profile = DEFAULT_PROFILES[StructureClass.CONCRETE_OVERBRIDGE]
