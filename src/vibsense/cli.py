@@ -320,8 +320,8 @@ def cmd_serve(args) -> int:
     store = _in_path(args, "store", "telemetry.jsonl")
     Path(store).parent.mkdir(parents=True, exist_ok=True)
     server = telemetry.TelemetryServer(store, host=args.host, port=args.port)
-    print(f"serve: listening on {server.url} store={store}", flush=True)
-    try:
+    try:  # an interrupt right after the line below must end serve as one during serving does
+        print(f"serve: listening on {server.url} store={store}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -397,7 +397,12 @@ def train(
 
 def predict(model: CnnModel, rows) -> np.ndarray:
     """(n, N) class probabilities of raw feature rows (n, 12), scaled as training scaled them."""
-    return forward(model, (feature_rows(rows, INPUT_LEN) - model.input_mean) / model.input_std)
+    x = np.asarray(rows, dtype=float)
+    if x.ndim == 2 and x.shape[1] == INPUT_LEN:  # any other shape goes on for forward to refuse
+        x = (x - model.input_mean) / model.input_std
+    # forward's check is the one pass: a non-finite row stays non-finite when scaled, and it
+    # also refuses a finite row that scaling took past float64
+    return forward(model, x)
 
 
 def grid_combinations(grids: dict | None = None) -> list[CnnHyperparams]:

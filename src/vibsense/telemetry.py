@@ -12,9 +12,13 @@ it as already delivered.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
+import queue
 import re
+import signal
+import socket
 import sys
 import threading
 import time
@@ -39,7 +43,10 @@ WIRE_FEATURE_KEYS = tuple(_WIRE_RENAMES.get(name, name) for name in FEATURE_COLU
 _WIRE_FIELDS = tuple(zip(FEATURE_COLUMNS, WIRE_FEATURE_KEYS))  # (attribute, wire key)
 
 MAX_BODY_BYTES = 64 * 1024  # a POST body above this gets 413; one record is about 440 bytes
-REQUEST_TIMEOUT_S = 10.0  # a connection silent this long mid-request gets 408 or is closed
+# a request must arrive whole this long after its first byte, or it gets 408 (body
+# incomplete) or is closed; between keep-alive requests, each recv waits this long
+REQUEST_TIMEOUT_S = 10.0
+MAX_CONNECTIONS = 32  # connections served at once, each by a reused handler thread; one more gets 503
 STOP_POLL_S = 0.05  # how often a start()ed serve loop checks for stop(); stop() waits up to this
 # node_emulator's delivery policy: a failed record is retried up to MAX_RETRIES
 # times, retry k (from 0) after BACKOFF_S * 2**k s; each POST waits POST_TIMEOUT_S.
@@ -418,18 +425,58 @@ _QUERY_SPELLINGS = {
 }
 
 
+class _RequestReads(socket.SocketIO):
+    """A connection's reads, under one deadline per request.
+
+    While it waits for a request's first byte, each recv may take ``timeout`` s.
+    From that byte on, the rest of the request (its line, headers and body) must
+    arrive within ``timeout`` s however it is spread over recvs, so a client that
+    trickles a request cannot hold a handler thread (slowloris, Hansen 2009).
+    """
+
+    def __init__(self, sock: socket.socket, timeout: float):
+        super().__init__(sock, "rb")
+        self.timeout = timeout
+        self.deadline = None  # time.monotonic() by which the request must be in, from its first byte
+
+    def readinto(self, b):
+        if self.deadline is None:
+            wait = self.timeout
+        else:
+            wait = self.deadline - time.monotonic()
+            if wait <= 0:  # settimeout(0) would make the socket non-blocking instead
+                raise TimeoutError("request deadline passed")
+        self._sock.settimeout(wait)
+        n = super().readinto(b)
+        if n and self.deadline is None:
+            self.deadline = time.monotonic() + self.timeout
+        return n
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # Buffered output: headers and body leave in one write. Two small writes
     # on a keep-alive connection would stall the body behind the client's
     # delayed ACK (Nagle), about 40 ms per request.
     wbufsize = -1
-    timeout = REQUEST_TIMEOUT_S  # socket timeout: a stalled client cannot hold a thread
+    timeout = REQUEST_TIMEOUT_S  # each request's deadline; also the wait of each idle recv and send
+
+    def setup(self):
+        # StreamRequestHandler.setup, with rfile reading through _RequestReads
+        self.connection = self.request
+        self._reads = _RequestReads(self.connection, self.timeout)
+        self.rfile = io.BufferedReader(self._reads)
+        self.wfile = self.connection.makefile("wb", self.wbufsize)
+
+    def handle_one_request(self):
+        self._reads.deadline = None  # the next request's deadline starts at its first byte
+        super().handle_one_request()
 
     def _send(self, status: int, payload: dict):
         self._send_body(status, _compact_json(payload).encode("utf-8"))
 
     def _send_body(self, status: int, body: bytes):
+        self.connection.settimeout(self.timeout)  # the answer's own wait, not what the request left
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -528,6 +575,14 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+# what a connection over MAX_CONNECTIONS gets (RFC 9110 15.6.4) before it is closed
+_BUSY_BODY = _compact_json({"error": "too many connections; retry later"}).encode()
+_BUSY_REPLY = (
+    b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY)
+)
+
+
 class TelemetryServer(ThreadingHTTPServer):
     """Threaded HTTP ingestion service over a JSON-lines store.
 
@@ -538,6 +593,8 @@ class TelemetryServer(ThreadingHTTPServer):
 
     ``port=0`` binds an ephemeral port; read it back from ``server.port``.
     ``serve_forever()`` serves in the calling thread; stop() does not end that loop.
+    Connections are served by ``MAX_CONNECTIONS`` handler threads, started with the
+    server and reused; a connection that finds them all busy gets 503 and is closed.
     """
 
     def __init__(self, store_path, host: str = "127.0.0.1", port: int = 0):
@@ -548,6 +605,49 @@ class TelemetryServer(ThreadingHTTPServer):
         except BaseException:  # OSError, or OverflowError for a port past 65535
             self.state.close()
             raise
+        self._pool_size = MAX_CONNECTIONS
+        self._slots = threading.BoundedSemaphore(self._pool_size)  # one per connection being served
+        self._accepted = queue.SimpleQueue()  # (request, client_address); None ends a worker
+        # Each Thread.start waits until the new thread runs, which can take milliseconds on a
+        # busy machine, so the workers start in a thread of their own while this returns (and
+        # `serve` says it listens); accepted connections queue until a worker takes them.
+        self._starter = threading.Thread(target=self._start_workers, daemon=True)
+        # The starter, and the workers it starts, inherit a mask that blocks every signal, so
+        # a signal goes to the main thread and wakes its serve loop at once; taken by another
+        # thread, SIGINT would wait for the loop's next poll.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            self._starter.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def _start_workers(self):
+        for _ in range(self._pool_size):
+            threading.Thread(target=self._serve_connections, daemon=True).start()
+
+    def _serve_connections(self):
+        while (accepted := self._accepted.get()) is not None:
+            request, client_address = accepted
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # freed before the close: a client that sees its connection end can connect again
+                self._slots.release()
+                self.shutdown_request(request)
+
+    def process_request(self, request, client_address):
+        """In the accept thread: hand the connection to a worker, or answer 503 without blocking."""
+        if self._slots.acquire(blocking=False):
+            self._accepted.put((request, client_address))
+            return
+        request.setblocking(False)
+        try:
+            request.send(_BUSY_REPLY)  # far below a socket's send buffer
+        except OSError:  # the client is gone, or its buffer is full: it gets the close alone
+            pass
+        self.shutdown_request(request)
 
     @property
     def host(self) -> str:
@@ -562,6 +662,7 @@ class TelemetryServer(ThreadingHTTPServer):
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "TelemetryServer":
+        self._starter.join()  # from here on the server's thread count does not change
         self._thread = threading.Thread(
             target=self.serve_forever, kwargs={"poll_interval": STOP_POLL_S}, daemon=True
         )
@@ -573,6 +674,8 @@ class TelemetryServer(ThreadingHTTPServer):
             self.shutdown()
             self._thread.join()
         self.server_close()
+        for _ in range(self._pool_size):  # a worker ends after its connection; a daemon, not waited for
+            self._accepted.put(None)
         self.state.close()
 
     def __enter__(self):

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import urllib.request
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -659,6 +660,19 @@ def test_serve_and_report_start_without_numpy(tmp_path):
     assert "vibsense.telemetry" in served and "http.server" in served
     assert "numpy" not in served
     assert "numpy" not in _imports_of(["report", "--store", str(store)], tmp_path)
+
+
+def test_serve_stops_at_once_on_an_interrupt_as_it_starts(tmp_path):
+    # the interrupt comes while the handler threads may still be starting; had one of them
+    # taken it, it would wait for the serve loop's next poll, 0.5 s away
+    for _ in range(3):
+        argv = ["serve", "--store", str(tmp_path / "s.jsonl"), "--port", "0"]
+        with _vibsense_child(argv, tmp_path) as child:
+            assert "listening on" in child.stdout.readline()
+            t0 = time.monotonic()
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=30) == 0
+            assert time.monotonic() - t0 < 0.4
 
 
 @pytest.mark.parametrize("stage", ["fit-height", "extract", "select"])

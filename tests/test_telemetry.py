@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import re
+import select
 import shutil
 import signal
 import socket
@@ -754,6 +755,96 @@ def test_server_stalled_request_gets_408_or_is_closed(tmp_path, monkeypatch):
         assert threading.active_count() <= baseline  # no handler thread is held
         assert _post(srv.url, _record())[0] == 201
     assert scan_store(tmp_path / "s.jsonl") == [_record()]
+
+
+def _trickle(port, head: bytes, trickled: bytes, gap: float, give_up: float):
+    """Send ``head``, then ``trickled`` a byte every ``gap`` s until the server answers or
+    closes; its reply (None if it did neither within ``give_up`` s) and the seconds taken."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        t0 = time.monotonic()
+        sock.sendall(head)
+        for byte in trickled:
+            sock.sendall(bytes([byte]))
+            if select.select([sock], [], [], gap)[0]:
+                break
+            if time.monotonic() - t0 > give_up:
+                return None, time.monotonic() - t0
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        return reply, time.monotonic() - t0
+
+
+_TRICKLED_POST = b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % _BODY_LENGTH
+
+
+@pytest.mark.parametrize(
+    "head, trickled", [(b"", _TRICKLED_POST), (_TRICKLED_POST, _RECORD_BODY)],
+    ids=["request line and headers", "body"],
+)
+def test_server_trickled_request_is_cut_at_its_deadline(tmp_path, monkeypatch, head, trickled):
+    # each byte comes before the 1 s per-recv wait ends, so only a deadline over the request stops it
+    monkeypatch.setattr(telemetry._Handler, "timeout", 1.0)
+    monkeypatch.setattr(telemetry, "MAX_CONNECTIONS", 1)  # the trickler holds the one handler
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        reply, elapsed = _trickle(srv.port, head, trickled, gap=0.6, give_up=3.0)
+        assert reply is not None, "the trickled request was never cut"
+        assert elapsed < 1.0 + 0.8
+        if head:  # its line and headers were read whole: the body's end never came
+            assert reply.split(b" ", 2)[1] == b"408"
+        else:
+            assert reply == b""  # closed without a reply
+        assert _post(srv.url, _record())[0] == 201
+    assert scan_store(tmp_path / "s.jsonl") == [_record()]
+
+
+def test_server_over_its_connection_cap_answers_503_and_starts_no_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(telemetry, "MAX_CONNECTIONS", 2)
+    before = set(threading.enumerate())  # sets: an earlier test's workers may still be ending
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        started = set(threading.enumerate()) - before
+        assert len(started) == 1 + 2  # the serve loop and two handler threads
+        idle = [socket.create_connection(("127.0.0.1", srv.port), timeout=5) for _ in range(2)]
+        try:
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=5) as third:
+                reply = b""
+                while chunk := third.recv(65536):  # answered and closed at once
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0] == b"HTTP/1.1 503 Service Unavailable"
+            assert b"\r\nConnection: close" in head and "error" in json.loads(body)
+            assert set(threading.enumerate()) - before <= started  # none started for the three
+            # the server ends one idle connection; the next connection takes its handler
+            idle[0].sendall(b"GET /nodes HTTP/1.1\r\nConnection: close\r\n\r\n")
+            reply = b""
+            while chunk := idle[0].recv(65536):
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200 ")
+            assert _post(srv.url, _record())[0] == 201
+        finally:
+            for sock in idle:
+                sock.close()
+    assert scan_store(tmp_path / "s.jsonl") == [_record()]
+
+
+def test_server_threads_end_after_stop(tmp_path):
+    before = set(threading.enumerate())
+    with TelemetryServer(tmp_path / "s.jsonl") as srv:
+        assert _post(srv.url, _record())[0] == 201
+        assert _http("GET", srv.url + "/nodes")[0] == 200
+    deadline = time.monotonic() + 2
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
+
+
+@pytest.mark.parametrize("port", ["in use", 70000])
+def test_server_whose_bind_fails_starts_no_thread(tmp_path, port):
+    with TelemetryServer(tmp_path / "other.jsonl") as other:
+        before = set(threading.enumerate())
+        with pytest.raises((OSError, OverflowError)):
+            TelemetryServer(tmp_path / "s.jsonl", port=other.port if port == "in use" else port)
+        assert set(threading.enumerate()) <= before
 
 
 def test_server_keep_alive_requests_are_not_delayed(tmp_path):
