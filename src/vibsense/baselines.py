@@ -271,13 +271,6 @@ class Metrics:
     macro_f1: float
     confusion: np.ndarray  # (C, C) counts, rows = true class
 
-    def normalized_confusion(self) -> np.ndarray:
-        totals = self.confusion.sum(axis=1, keepdims=True)
-        return np.divide(
-            self.confusion, totals, out=np.zeros_like(self.confusion, dtype=float),
-            where=totals > 0,
-        )
-
 
 def evaluate(predictions, labels, n_classes: int = 5) -> Metrics:
     """Confusion counts and precision/recall/F1 with the 0/0 -> 0 convention."""

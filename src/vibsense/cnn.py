@@ -446,8 +446,7 @@ def grid_search(
             fold_scores.append(max(model.history.val_acc))
         scores.append(float(np.mean(fold_scores)))
 
-    best_idx = int(np.argmax(scores))  # argmax keeps the first max
-    order = sorted(range(len(combos)), key=lambda i: (-scores[i], i))
+    order = sorted(range(len(combos)), key=lambda i: (-scores[i], i))  # ties: earliest first
     marginals: dict[str, list[tuple[object, float]]] = {key: [] for key in DEFAULT_GRIDS}
     for key, pairs in marginals.items():
         for value in g[key]:
@@ -455,7 +454,7 @@ def grid_search(
             pairs.append((value, float(np.mean(with_value))))
     return GridSearchResult(
         ranked=[(combos[i], scores[i]) for i in order],
-        winner=combos[best_idx],
+        winner=combos[order[0]],
         marginals=marginals,
     )
 

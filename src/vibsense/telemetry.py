@@ -17,7 +17,6 @@ import json
 import os
 import queue
 import re
-import signal
 import socket
 import sys
 import threading
@@ -47,7 +46,7 @@ MAX_BODY_BYTES = 64 * 1024  # a POST body above this gets 413; one record is abo
 # incomplete) or is closed; between keep-alive requests, each recv waits this long
 REQUEST_TIMEOUT_S = 10.0
 MAX_CONNECTIONS = 32  # connections served at once, each by a reused handler thread; one more gets 503
-STOP_POLL_S = 0.05  # how often a start()ed serve loop checks for stop(); stop() waits up to this
+STOP_POLL_S = 0.05  # how often a serve loop checks for stop() or a signal; stop() waits up to this
 # node_emulator's delivery policy: a failed record is retried up to MAX_RETRIES
 # times, retry k (from 0) after BACKOFF_S * 2**k s; each POST waits POST_TIMEOUT_S.
 MAX_RETRIES = 8
@@ -608,20 +607,6 @@ class TelemetryServer(ThreadingHTTPServer):
         self._pool_size = MAX_CONNECTIONS
         self._slots = threading.BoundedSemaphore(self._pool_size)  # one per connection being served
         self._accepted = queue.SimpleQueue()  # (request, client_address); None ends a worker
-        # Each Thread.start waits until the new thread runs, which can take milliseconds on a
-        # busy machine, so the workers start in a thread of their own while this returns (and
-        # `serve` says it listens); accepted connections queue until a worker takes them.
-        self._starter = threading.Thread(target=self._start_workers, daemon=True)
-        # The starter, and the workers it starts, inherit a mask that blocks every signal, so
-        # a signal goes to the main thread and wakes its serve loop at once; taken by another
-        # thread, SIGINT would wait for the loop's next poll.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        try:
-            self._starter.start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-    def _start_workers(self):
         for _ in range(self._pool_size):
             threading.Thread(target=self._serve_connections, daemon=True).start()
 
@@ -661,11 +646,12 @@ class TelemetryServer(ThreadingHTTPServer):
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def serve_forever(self, poll_interval: float = STOP_POLL_S):
+        # a signal may reach any thread, not the one in select(): the loop sees it within a poll
+        super().serve_forever(poll_interval)
+
     def start(self) -> "TelemetryServer":
-        self._starter.join()  # from here on the server's thread count does not change
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": STOP_POLL_S}, daemon=True
-        )
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 

@@ -8,10 +8,23 @@ statistical machinery against synthetic corpora plus independent oracles.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import vibsense
 from vibsense import FEATURE_COLUMNS
+
+
+def child_env(**extra):
+    """os.environ for a Python child process that imports this vibsense, plus ``extra``.
+
+    pyproject's ``pythonpath`` reaches the pytest process only, so a child that must import
+    the package when it is not installed gets its source directory as PYTHONPATH.
+    """
+    return {**os.environ, "PYTHONPATH": str(Path(vibsense.__file__).parents[1]), **extra}
+
 
 # One summary row per structure class, in FEATURE_COLUMNS order
 # (mean, mode, median, std_dev, max, min, rms, num_peaks, avg_peak_value,

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import FIELD_CORRELATIONS, FIELD_SAMPLE_ROWS, close_rel, naive_features
+from conftest import FIELD_CORRELATIONS, FIELD_SAMPLE_ROWS, child_env, close_rel, naive_features
 from vibsense import baselines, cnn, selection, telemetry
 from vibsense.baselines import LabeledDataset
 from vibsense.cnn import CnnHyperparams, PlateauScheduler
@@ -303,6 +303,7 @@ def _field_record(node, seq):
 def _spawn_server(store):
     proc = subprocess.Popen(
         [sys.executable, "-m", "vibsense", "serve", "--store", str(store), "--port", "0"],
+        env=child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import signal
 import subprocess
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIELD_CORRELATIONS
+from conftest import FIELD_CORRELATIONS, child_env
 from vibsense import cli, features, selection, signalsim, telemetry
 from vibsense.features import FEATURE_COLUMNS
 
@@ -530,9 +529,8 @@ def _flags(*argv, where):
 )
 def test_a_hostile_input_exits_2_without_a_traceback(corpus_dir, tmp_path, stage, make):
     argv, where = make(corpus_dir, tmp_path)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-m", "vibsense", stage, *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-m", "vibsense", stage, *argv], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith(f"{stage}: ") and where in done.stderr, done.stderr
     assert "Traceback" not in done.stderr
@@ -619,10 +617,10 @@ def test_the_classical_chain_writes_the_recorded_bytes(tmp_path):
 
 def _vibsense_child(argv, cwd):
     """A ``python -X importtime -m vibsense`` child; its import log goes to cwd/importtime.txt."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     with open(cwd / "importtime.txt", "w") as log:
         return subprocess.Popen([sys.executable, "-X", "importtime", "-m", "vibsense", *argv],
-                                cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=log, text=True)
+                                cwd=cwd, env=child_env(), stdout=subprocess.PIPE, stderr=log,
+                                text=True)
 
 
 def _imported(cwd) -> set[str]:
@@ -709,10 +707,9 @@ runpy.run_module("vibsense", run_name="__main__")
 def test_select_runs_where_scipy_cannot_be_imported(corpus_dir, tmp_path):
     assert cli.main(["select", "--features", str(corpus_dir / "features.csv"),
                      "--out", str(tmp_path / "here")]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY, "select", "--features",
                            str(corpus_dir / "features.csv"), "--out", str(tmp_path / "blocked")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     for name in ("selected_features.json", "correlation.csv"):
         assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()

@@ -1,4 +1,3 @@
-import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import vibsense
+from conftest import child_env
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -37,9 +37,8 @@ def test_public_surface_is_pinned():
 
 
 def _in_a_fresh_process(code):
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
@@ -98,7 +97,7 @@ def _repo_files():
 @pytest.mark.parametrize("script", sorted(p.name for p in (REPO / "demos").glob("*.py")))
 def test_demo_runs_from_a_copy_and_writes_nothing_into_the_repo(tmp_path, script):
     demos = shutil.copytree(REPO / "demos", tmp_path / "demos")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = child_env(PYTHONDONTWRITEBYTECODE="1")
     before = _repo_files()
     done = subprocess.run([sys.executable, str(demos / script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)

@@ -1,16 +1,13 @@
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
-import vibsense
-from conftest import field_correlation_arrays
+from conftest import child_env, field_correlation_arrays
 from vibsense import selection
 from vibsense.baselines import LabeledDataset
 from vibsense.errors import UndefinedCorrelationError
@@ -148,9 +145,8 @@ def test_importing_the_package_leaves_scipy_unloaded():
             "    if m.name != '__main__':  # that one runs the CLI\n"
             "        importlib.import_module('vibsense.' + m.name)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    env = dict(os.environ, PYTHONPATH=str(Path(vibsense.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
 
 

@@ -20,7 +20,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from http.server import ThreadingHTTPServer
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import FIELD_SAMPLE_ROWS
+from conftest import FIELD_SAMPLE_ROWS, child_env
 from vibsense import telemetry
 from vibsense.errors import DeliveryError, SchemaError, StoreError
 from vibsense.features import FeatureVector
@@ -626,12 +625,11 @@ state.close()
 
 @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
 def test_an_append_cut_short_by_the_file_size_limit_leaves_nothing_behind(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(telemetry.__file__).parents[1])}
     stored = {}
     for run in ("limited", "unlimited"):
         store = tmp_path / f"{run}.jsonl"
         done = subprocess.run([sys.executable, "-c", _FILE_SIZE_LIMIT_CHILD, str(store), run],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=child_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         stored[run] = done.stdout, store.read_bytes()
     out, data = stored["limited"]
@@ -827,15 +825,24 @@ def test_server_over_its_connection_cap_answers_503_and_starts_no_thread(tmp_pat
     assert scan_store(tmp_path / "s.jsonl") == [_record()]
 
 
+def _threads_end(before):
+    deadline = time.monotonic() + 2
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not set(threading.enumerate()) - before
+
+
 def test_server_threads_end_after_stop(tmp_path):
     before = set(threading.enumerate())
     with TelemetryServer(tmp_path / "s.jsonl") as srv:
         assert _post(srv.url, _record())[0] == 201
         assert _http("GET", srv.url + "/nodes")[0] == 200
-    deadline = time.monotonic() + 2
-    while set(threading.enumerate()) - before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not set(threading.enumerate()) - before
+    assert _threads_end(before)
+    # a server never start()ed has its workers from construction on: stop() alone ends them
+    srv = TelemetryServer(tmp_path / "s.jsonl")
+    assert len(set(threading.enumerate()) - before) == telemetry.MAX_CONNECTIONS
+    srv.stop()
+    assert _threads_end(before)
 
 
 @pytest.mark.parametrize("port", ["in use", 70000])
